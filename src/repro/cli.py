@@ -37,22 +37,12 @@ import sys
 from typing import Optional, Sequence
 
 from repro.exp import Experiment, list_experiments
+from repro.exp.registry import positive_int
 from repro.harness.fig7 import DEFAULT_SIZES, run_fig7
 from repro.harness.fig8 import run_fig8
 from repro.harness.report import format_table
 
 __all__ = ["main"]
-
-
-def _positive_int(text: str) -> int:
-    """argparse type for ``--jobs``: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
 
 
 def _sizes(args) -> tuple[int, ...]:
@@ -73,13 +63,6 @@ def _make_experiment_command(exp: Experiment):
         from repro.exp import Runner
 
         spec = exp.spec_from_args(args)
-        if args.engine_jobs != 1:
-            # Partition-aware experiments read this through
-            # ctx.engine_jobs; everything else ignores it.  Results
-            # are independent of the value by the determinism
-            # contract (docs/PARALLEL.md).
-            spec = spec.replace(
-                params={**spec.params, "engine_jobs": args.engine_jobs})
         report = Runner().run(spec, jobs=args.jobs,
                               save=args.save or None)
         print(exp.render(spec, report.result, args))
@@ -104,13 +87,9 @@ def _add_experiment_arguments(p: argparse.ArgumentParser,
     options (``--jobs``, ``--save``) to a subparser."""
     for opt in exp.cli_options:
         p.add_argument(*opt.flags, **opt.kwargs)
-    p.add_argument("--jobs", type=_positive_int, default=1,
+    p.add_argument("--jobs", type=positive_int, default=1,
                    help="process-pool width for independent points"
                         " (results are identical to --jobs 1)")
-    p.add_argument("--engine-jobs", type=_positive_int, default=1,
-                   help="worker processes of the partitioned simulation"
-                        " engine, for partition-aware experiments"
-                        " (results are identical to --engine-jobs 1)")
     p.add_argument("--save", type=str, default="",
                    help="persist the result document to this JSON file")
     p.set_defaults(func=_make_experiment_command(exp))
@@ -634,9 +613,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="warmup before the window (us)")
     p.add_argument("--seed", type=int, default=5)
     p.add_argument("--traffic-seed", type=int, default=7)
-    p.add_argument("--every", type=_positive_int, default=1,
+    p.add_argument("--every", type=positive_int, default=1,
                    help="trace every Nth message (1 = all)")
-    p.add_argument("--top", type=_positive_int, default=3,
+    p.add_argument("--top", type=positive_int, default=3,
                    help="waterfalls printed by summarize")
     p.add_argument("--out", type=str, default="traces",
                    help="output directory for export")

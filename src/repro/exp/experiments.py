@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Optional, Sequence
 
-from repro.exp.registry import CliOption, Experiment, register_experiment
+from repro.exp.registry import (CliOption, Experiment, positive_float,
+                                positive_int, register_experiment)
 from repro.exp.spec import ExperimentSpec
 from repro.topology.graph import Topology
 
@@ -26,7 +27,6 @@ __all__ = [
     "FaultCampaignExperiment",
     "Fig7Experiment",
     "Fig8Experiment",
-    "PartitionStormExperiment",
     "QUICK_SIZES",
     "RootStudyExperiment",
     "ScaleStudyExperiment",
@@ -63,7 +63,7 @@ def _sizes_from_args(args: Any) -> tuple[int, ...]:
 _LADDER_OPTIONS = (
     CliOption.make("--full", action="store_true",
                    help="full gm_allsize size ladder"),
-    CliOption.make("--iterations", type=int, default=20),
+    CliOption.make("--iterations", type=positive_int, default=20),
     CliOption.make("--plot", action="store_true",
                    help="ASCII chart of the series"),
 )
@@ -197,10 +197,10 @@ class ThroughputExperiment(Experiment):
 
     cli_options = (
         CliOption.make("--switches", type=int, default=16),
-        CliOption.make("--packet-size", type=int, default=512),
-        CliOption.make("--rates", type=float, nargs="+",
+        CliOption.make("--packet-size", type=positive_int, default=512),
+        CliOption.make("--rates", type=positive_float, nargs="+",
                        default=[0.02, 0.06, 0.12]),
-        CliOption.make("--duration", type=float, default=150.0,
+        CliOption.make("--duration", type=positive_float, default=150.0,
                        help="measurement window (us)"),
         CliOption.make("--hosts-per-switch", type=int, default=2),
         CliOption.make("--seed", type=int, default=5),
@@ -298,10 +298,10 @@ class VcStudyExperiment(Experiment):
 
     cli_options = (
         CliOption.make("--switches", type=int, default=8),
-        CliOption.make("--packet-size", type=int, default=512),
-        CliOption.make("--rates", type=float, nargs="+",
+        CliOption.make("--packet-size", type=positive_int, default=512),
+        CliOption.make("--rates", type=positive_float, nargs="+",
                        default=[0.04, 0.08, 0.12]),
-        CliOption.make("--duration", type=float, default=150.0,
+        CliOption.make("--duration", type=positive_float, default=150.0,
                        help="measurement window (us)"),
         CliOption.make("--hosts-per-switch", type=int, default=2),
         CliOption.make("--seed", type=int, default=5,
@@ -793,105 +793,6 @@ class AblationTimingExperiment(Experiment):
               row.overhead_ns / 1000) for row in result.rows],
             title="EXP-A3 — firmware cost sweep",
         )
-
-
-@register_experiment("partition-storm", "partitioned-engine packet storm")
-class PartitionStormExperiment(Experiment):
-    """Multi-partition storm on the conservative parallel engine.
-
-    One measurement point: a chain-of-switch-groups fabric is cut at
-    its trunk links (:mod:`repro.topology.partition`), each partition
-    runs its own calendar, and cross-partition packets store-and-
-    forward through gateway hosts (:mod:`repro.harness.storm`).  The
-    summary is deterministic and identical for every ``--engine-jobs``
-    value — the property the parallel-smoke CI job diffs.
-    """
-
-    cli_options = (
-        CliOption.make("--switches", type=int, default=8),
-        CliOption.make("--parts", type=int, default=4,
-                       help="partition count (the fabric cut)"),
-        CliOption.make("--hosts-per-switch", type=int, default=2),
-        CliOption.make("--packet-size", type=int, default=1024),
-        CliOption.make("--rate", type=float, default=0.05,
-                       help="offered load (bytes/ns/host)"),
-        CliOption.make("--duration", type=float, default=100.0,
-                       help="injection window (us)"),
-        CliOption.make("--cross-fraction", type=float, default=0.25,
-                       help="fraction of packets crossing a partition"),
-        CliOption.make("--trunk-length", type=float, default=200.0,
-                       help="inter-group trunk cable length (m); its"
-                            " propagation delay is the lookahead"),
-        CliOption.make("--seed", type=int, default=7),
-    )
-
-    def default_spec(self) -> ExperimentSpec:
-        return ExperimentSpec(
-            experiment="partition-storm", n_switches=8,
-            hosts_per_switch=2, packet_size=1024,
-            duration_ns=100_000.0,
-            params={"n_parts": 4, "rate": 0.05, "cross_fraction": 0.25,
-                    "trunk_length_m": 200.0},
-        )
-
-    def points(self, spec: ExperimentSpec) -> list[dict]:
-        return [{}]
-
-    def measure(self, spec: ExperimentSpec, point: dict, ctx: Any) -> Any:
-        from repro.harness.storm import run_storm
-
-        return run_storm(
-            n_switches=spec.n_switches,
-            n_parts=int(spec.params.get("n_parts", 4)),
-            hosts_per_switch=spec.hosts_per_switch,
-            packet_size=spec.packet_size,
-            rate=float(spec.params.get("rate", 0.05)),
-            duration_ns=spec.duration_ns,
-            cross_fraction=float(spec.params.get("cross_fraction", 0.25)),
-            trunk_length_m=float(spec.params.get("trunk_length_m", 200.0)),
-            seed=spec.traffic_seed,
-            build_seed=spec.seed,
-            routing=spec.routing,
-            engine_jobs=ctx.engine_jobs,
-            timings=spec.timings,
-            build=ctx.build,
-        )
-
-    def summarize(self, spec: ExperimentSpec, results: Sequence[Any]) -> Any:
-        return results[0]
-
-    def spec_from_args(self, args: Any) -> ExperimentSpec:
-        return self.default_spec().replace(
-            n_switches=args.switches,
-            hosts_per_switch=args.hosts_per_switch,
-            packet_size=args.packet_size,
-            duration_ns=args.duration * 1000.0,
-            traffic_seed=args.seed,
-            params={"n_parts": args.parts, "rate": args.rate,
-                    "cross_fraction": args.cross_fraction,
-                    "trunk_length_m": args.trunk_length},
-        )
-
-    def render(self, spec: ExperimentSpec, result: Any, args: Any) -> str:
-        from repro.harness.report import format_table
-
-        rows = [(i, p["offered"], p["delivered"], p["cross_sent"],
-                 p["cross_received"], p["cross_delivered"], p["dropped"])
-                for i, p in enumerate(result.per_partition)]
-        table = format_table(
-            ["partition", "offered", "delivered", "cross out", "cross in",
-             "cross done", "dropped"],
-            rows,
-            title=f"partition storm — {result.n_switches} switches /"
-                  f" {result.n_parts} partitions",
-        )
-        eng, exe = result.engine, result.execution
-        return (f"{table}\n\nmean latency"
-                f" {result.mean_latency_ns / 1000.0:.2f} us;"
-                f" {eng['windows']} windows, {eng['messages']} boundary"
-                f" messages, {eng['dropped']} dropped past the horizon"
-                f" ({exe['mode']}, {exe['workers']} worker(s),"
-                f" {exe['stall_s'] * 1000.0:.1f} ms sync stall)")
 
 
 @register_experiment("fault-campaign", "GM reliability under injected faults")

@@ -11,6 +11,8 @@ generates its experiment subcommands from the same registry.
 
 from __future__ import annotations
 
+import argparse
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence
 
@@ -22,8 +24,32 @@ __all__ = [
     "Experiment",
     "get_experiment",
     "list_experiments",
+    "positive_float",
+    "positive_int",
     "register_experiment",
 ]
+
+
+def positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    """argparse type: a finite float > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be > 0 and finite, got {text}")
+    return value
 
 
 @dataclass(frozen=True)

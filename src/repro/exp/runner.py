@@ -55,16 +55,6 @@ class PointContext:
         self._instrumented: list = []
         self._fabrics: list = []
 
-    @property
-    def engine_jobs(self) -> int:
-        """Worker count for the partitioned simulation engine.
-
-        Threaded from ``--engine-jobs`` via ``spec.params``; results
-        never depend on it (``docs/PARALLEL.md``), so only
-        partition-aware experiments bother reading it.
-        """
-        return int(self.spec.params.get("engine_jobs", 1))
-
     def build(self, topo: Any = None, **kwargs: Any) -> BuiltNetwork:
         """Build a network for this point through the single shared path."""
         if topo is None:

@@ -61,7 +61,6 @@ from repro.harness.report import (
     profiler_table,
     registry_table,
 )
-from repro.harness.sweep import SweepPoint, SweepResult, sweep
 from repro.harness.persist import load_results, save_results
 from repro.harness.chrome_trace import (
     to_chrome_trace,
@@ -94,8 +93,6 @@ __all__ = [
     "PacketTimeline",
     "RootStudyResult",
     "RootStudyRow",
-    "SweepPoint",
-    "SweepResult",
     "ThroughputPoint",
     "ThroughputResult",
     "TimingSweepResult",
@@ -132,7 +129,6 @@ __all__ = [
     "save_results",
     "saturation_point",
     "summarize_latencies",
-    "sweep",
     "registry_table",
     "to_chrome_trace",
     "to_counter_events",

@@ -33,7 +33,6 @@ from repro.harness.fig7 import Fig7Result
 from repro.harness.fig8 import Fig8Result
 from repro.harness.root_study import RootStudyResult
 from repro.harness.scale_study import ScaleStudyResult
-from repro.harness.storm import StormResult
 from repro.harness.throughput import ThroughputResult
 from repro.harness.vcstudy import VcStudyResult
 
@@ -55,7 +54,6 @@ _RESULT_KINDS: dict[str, type] = {
     "ablation-bufpool": BufferPoolStudyResult,
     "ablation-timing": TimingSweepResult,
     "vc-study": VcStudyResult,
-    "partition-storm": StormResult,
     "scale-study": ScaleStudyResult,
 }
 

@@ -139,13 +139,17 @@ def drive_traffic(
     measured from the ``host_send`` call (so source queueing delay —
     the symptom of saturation — is included).
     """
+    if rate_bytes_per_ns_per_host <= 0:
+        raise ValueError("rate must be positive")
+    if packet_size <= 0:
+        raise ValueError("packet_size must be positive")
+    if duration_ns <= 0:
+        raise ValueError("duration_ns must be positive")
     sim: Simulator = net.sim
     hosts = sorted(net.gm_hosts)
     if pattern is None:
         pattern = uniform_traffic(hosts)
     stats = TrafficStats(n_hosts=len(hosts), duration_ns=duration_ns)
-    if rate_bytes_per_ns_per_host <= 0:
-        raise ValueError("rate must be positive")
     mean_gap = packet_size / rate_bytes_per_ns_per_host
 
     t_start = sim.now

@@ -33,7 +33,6 @@ from repro.network.faults import (
     install_fault_plan,
 )
 from repro.network.flow_control import (
-    LanedStopGo,
     StopGoChannel,
     required_slack_bytes,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "FaultPlan",
     "FixedLanePolicy",
     "LanePolicy",
-    "LanedStopGo",
     "RoundRobinLanePolicy",
     "StopGoChannel",
     "Worm",

@@ -60,8 +60,7 @@ from typing import Optional
 
 from repro.sim.engine import Event, Simulator
 
-__all__ = ["LanedStopGo", "StopGoChannel", "StopGoStats",
-           "required_slack_bytes"]
+__all__ = ["StopGoChannel", "StopGoStats", "required_slack_bytes"]
 
 
 def required_slack_bytes(
@@ -505,75 +504,3 @@ class StopGoChannel:
             return
         self._micro.advance(None)
         raise RuntimeError(message)
-
-
-class LanedStopGo:
-    """N independent Stop&Go credit channels over one physical cable.
-
-    The virtual-channel counterpart of :class:`StopGoChannel`: each
-    lane keeps its *own* slack buffer, STOP/GO thresholds, and credit
-    state, so blocking the receiver of one lane stalls only that
-    lane's sender — the other lanes keep streaming.  This is the
-    byte-level reference model for the fabric's multi-lane channels
-    (``Fabric(..., lanes=N)``), used by tests to quantify lane
-    independence the same way :class:`StopGoChannel` quantifies the
-    single-lane packet-granularity approximation.
-
-    Real virtual-channel switches time-multiplex the physical wire
-    between lanes flit by flit; like the packet-granularity worm
-    model, this reference keeps each lane at full link rate, so lane
-    numbers bound the benefit of virtual channels from above (see
-    ``docs/TIMING_MODEL.md``).
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        prop_ns: float,
-        byte_ns: float,
-        n_lanes: int = 2,
-        slack_bytes: Optional[int] = None,
-        stop_threshold: Optional[int] = None,
-        go_threshold: Optional[int] = None,
-    ) -> None:
-        if n_lanes < 1:
-            raise ValueError(f"n_lanes must be >= 1, got {n_lanes}")
-        self.sim = sim
-        self.lanes = [
-            StopGoChannel(
-                sim, prop_ns, byte_ns,
-                slack_bytes=slack_bytes,
-                stop_threshold=stop_threshold,
-                go_threshold=go_threshold,
-            )
-            for _ in range(n_lanes)
-        ]
-
-    @property
-    def n_lanes(self) -> int:
-        """Number of independent credit lanes on this cable."""
-        return len(self.lanes)
-
-    def lane(self, lane: int) -> StopGoChannel:
-        """The credit channel of one lane."""
-        return self.lanes[lane]
-
-    def transfer(self, n_bytes: int, lane: int = 0) -> Event:
-        """Send ``n_bytes`` on one lane; fires at last-byte delivery."""
-        return self.lanes[lane].transfer(n_bytes)
-
-    def block_receiver(self, lane: int) -> None:
-        """Downstream wormhole blocking on one lane only."""
-        self.lanes[lane].block_receiver()
-
-    def unblock_receiver(self, lane: int) -> None:
-        """Release the downstream block on one lane."""
-        self.lanes[lane].unblock_receiver()
-
-    def stats(self) -> list[StopGoStats]:
-        """Per-lane transfer counters, synchronized to sim time."""
-        return [lane.stats for lane in self.lanes]
-
-    def slack_occupancy(self, lane: int) -> int:
-        """Bytes currently parked in one lane's slack buffer."""
-        return self.lanes[lane].slack_occupancy

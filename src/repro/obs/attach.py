@@ -36,11 +36,7 @@ Metric catalog (see ``docs/OBSERVABILITY.md`` for details):
   adaptive ITB host-selection counters, resolved lazily from the
   attached :class:`~repro.gm.mapper.ItbReselector` (zero, and
   filtered from snapshots, without one — see
-  ``docs/ADAPTIVE_ITB.md``),
-* ``partition_{windows,messages,dropped}`` /
-  ``partition_sync_stall_seconds`` — partitioned-engine barrier
-  telemetry (:func:`attach_partition_engine`, see
-  ``docs/PARALLEL.md``).
+  ``docs/ADAPTIVE_ITB.md``).
 """
 
 from __future__ import annotations
@@ -59,8 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - import-cycle guard
     from repro.core.builder import BuiltNetwork
 
 __all__ = ["RegistryCongestionView", "Telemetry", "attach_congestion_view",
-           "attach_partition_engine", "attach_route_cache",
-           "instrument_network"]
+           "attach_route_cache", "instrument_network"]
 
 #: Help strings for the NicStats-backed counters.
 _NIC_STAT_HELP = {
@@ -307,38 +302,6 @@ def attach_route_cache(registry: MetricsRegistry, cache) -> None:
         "route_cache_entries", component="route-cache",
         help="distinct route entries resident in this process",
         fn=lambda c=cache: len(c),
-    )
-
-
-def attach_partition_engine(registry: MetricsRegistry, engine) -> None:
-    """Publish a :class:`~repro.sim.partition.PartitionedEngine`'s
-    barrier telemetry.
-
-    Windows/messages/dropped are deterministic (identical for every
-    executor and worker count); the sync-stall gauge is wall-clock
-    time the coordinator spent blocked on worker barriers — the
-    parallel-efficiency signal, never part of a result document.
-    """
-    stats = engine.stats
-    registry.counter(
-        "partition_windows", component="partition-engine",
-        help="conservative time windows executed (barrier rounds)",
-        fn=lambda s=stats: s["windows"],
-    )
-    registry.counter(
-        "partition_messages", component="partition-engine",
-        help="cross-partition messages merged and delivered",
-        fn=lambda s=stats: s["messages"],
-    )
-    registry.counter(
-        "partition_dropped", component="partition-engine",
-        help="cross-partition messages past the run horizon (undelivered)",
-        fn=lambda s=stats: s["dropped"],
-    )
-    registry.gauge(
-        "partition_sync_stall_seconds", component="partition-engine",
-        help="wall-clock time the coordinator blocked on worker barriers",
-        fn=lambda s=stats: s["stall_s"],
     )
 
 

@@ -84,8 +84,8 @@ class RouteCache:
     ``evictions`` counter).  All-pairs route dicts on large fabrics
     are the biggest objects the harness retains, so a long-lived
     process sweeping many topologies (fault campaigns, root studies,
-    partition plans — each sub-topology is its own entry) would
-    otherwise grow without limit.  ``max_entries=None`` disables the
+    scale studies — each topology is its own entry) would otherwise
+    grow without limit.  ``max_entries=None`` disables the
     bound.
     """
 

@@ -29,7 +29,8 @@ asserts exactly that.
 **Determinism across fork-pool workers.**  Stateless policies decide
 from global identifiers only; the ``random`` policy draws from a
 globally-keyed RNG stream ``SeedSequence(entropy=seed, spawn_key=
-(switch, src, dst, epoch))`` — the :mod:`repro.harness.storm` pattern —
+(switch, src, dst, epoch))`` — a fresh generator per decision, seeded
+from the decision's own key rather than drawn from a shared stream —
 so the decision for a pair is a pure function of the key, independent
 of worker count, call order, or which pairs were selected before it.
 """
@@ -233,8 +234,8 @@ class RandomSelector(Selector):
     ``SeedSequence(entropy=seed, spawn_key=(switch, src, dst, epoch))``
     — so the decision for a pair is a pure function of the key:
     identical across fork-pool workers and independent of how many
-    other pairs were selected first (the :mod:`repro.harness.storm`
-    determinism pattern).
+    other pairs were selected first (no generator state is carried
+    from one decision to the next).
     """
 
     name = "random"

@@ -596,15 +596,20 @@ class Simulator:
             raise event._exc
         return event.value
 
-    # -- partition-scheduler hooks --------------------------------------
+    # -- window-bounded draining ----------------------------------------
+    #
+    # A strict time bound that ``run(until=...)`` cannot express: drain
+    # everything before ``t_end`` and leave the clock at the last
+    # dispatched instant, so a caller can still inject work timed at or
+    # after ``t_end`` before the clock gets there.  These are part of
+    # the engine's public run-loop surface; the benchmark's layer probe
+    # (``perfbench/layers.py``) times ``run_window`` by name alongside
+    # ``run`` and ``run_until_event``.
 
     def next_time(self) -> Optional[float]:
         """Timestamp of the earliest pending callback, or None.
 
-        The partitioned engine (:mod:`repro.sim.partition`) uses this
-        to compute the global lower bound of the next synchronization
-        window.  Immediate-lane entries sit at the current time by
-        construction.
+        Immediate-lane entries sit at the current time by construction.
         """
         if self._immediate:
             return self._now
@@ -618,11 +623,10 @@ class Simulator:
 
         Unlike :meth:`run` (whose ``until`` is inclusive), events at
         exactly ``t_end`` stay queued and the clock is *not* advanced
-        past the last dispatched event — so a cross-partition message
-        delivered at ``t_end`` or later still lands ahead of every
-        undispatched local callback, preserving the global
-        ``(time, priority, seq)`` order.  Returns :meth:`next_time`
-        after the window drains.
+        past the last dispatched event, so work the caller schedules
+        at ``t_end`` or later is still ordered by ``(time, priority,
+        seq)`` with what is queued.  Returns :meth:`next_time` after
+        the window drains.
         """
         while True:
             nt = self.next_time()

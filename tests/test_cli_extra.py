@@ -89,6 +89,24 @@ class TestRunCommand:
             main(["fig7", "--jobs", "many"])
         assert exc_info.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["throughput", "--packet-size", "0"],
+        ["throughput", "--duration", "0"],
+        ["throughput", "--rates", "0.02", "-0.1"],
+        ["vc-study", "--packet-size", "-512"],
+        ["vc-study", "--duration", "0"],
+        ["vc-study", "--rates", "0"],
+        ["fig7", "--iterations", "0"],
+        ["fig8", "--iterations", "0"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_non_positive_traffic_sizes_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", *argv])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "must be >" in err
+
 
 class TestAllCommand:
     def test_all_regenerates_and_saves(self, capsys, tmp_path):

@@ -68,6 +68,18 @@ class TestDriveTraffic:
             drive_traffic(net, rate_bytes_per_ns_per_host=0.0,
                           packet_size=128, duration_ns=1_000)
 
+    @pytest.mark.parametrize("packet_size,duration_ns", [
+        (0, 1_000), (-128, 1_000), (128, 0.0), (128, -1.0),
+    ])
+    def test_size_and_duration_validated(self, packet_size, duration_ns):
+        # A zero-byte packet makes the mean inter-arrival gap 0, so the
+        # injectors would spin at one instant; a zero window divides by 0.
+        topo = random_irregular(4, seed=1)
+        net = build_load_network(topo, "itb")
+        with pytest.raises(ValueError, match="must be positive"):
+            drive_traffic(net, rate_bytes_per_ns_per_host=0.01,
+                          packet_size=packet_size, duration_ns=duration_ns)
+
     def test_deterministic_given_seed(self):
         def run():
             topo = random_irregular(4, seed=1)

