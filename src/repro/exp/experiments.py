@@ -14,7 +14,8 @@ from __future__ import annotations
 from typing import Any, Iterable, Optional, Sequence
 
 from repro.exp.registry import (CliOption, Experiment, positive_float,
-                                positive_int, register_experiment)
+                                positive_int, probability,
+                                register_experiment, switch_count)
 from repro.exp.spec import ExperimentSpec
 from repro.topology.graph import Topology
 
@@ -196,13 +197,13 @@ class ThroughputExperiment(Experiment):
     """Accepted throughput / latency vs offered load, UD vs ITB routing."""
 
     cli_options = (
-        CliOption.make("--switches", type=int, default=16),
+        CliOption.make("--switches", type=switch_count, default=16),
         CliOption.make("--packet-size", type=positive_int, default=512),
         CliOption.make("--rates", type=positive_float, nargs="+",
                        default=[0.02, 0.06, 0.12]),
         CliOption.make("--duration", type=positive_float, default=150.0,
                        help="measurement window (us)"),
-        CliOption.make("--hosts-per-switch", type=int, default=2),
+        CliOption.make("--hosts-per-switch", type=positive_int, default=2),
         CliOption.make("--seed", type=int, default=5),
     )
 
@@ -297,13 +298,13 @@ class VcStudyExperiment(Experiment):
     """
 
     cli_options = (
-        CliOption.make("--switches", type=int, default=8),
+        CliOption.make("--switches", type=switch_count, default=8),
         CliOption.make("--packet-size", type=positive_int, default=512),
         CliOption.make("--rates", type=positive_float, nargs="+",
                        default=[0.04, 0.08, 0.12]),
         CliOption.make("--duration", type=positive_float, default=150.0,
                        help="measurement window (us)"),
-        CliOption.make("--hosts-per-switch", type=int, default=2),
+        CliOption.make("--hosts-per-switch", type=positive_int, default=2),
         CliOption.make("--seed", type=int, default=5,
                        help="topology seed (default deadlocks minimal"
                             " routing at one lane)"),
@@ -443,10 +444,10 @@ class AppsExperiment(Experiment):
     """Closed-loop kernel completion time, UD vs ITB routing."""
 
     cli_options = (
-        CliOption.make("--switches", type=int, default=16),
-        CliOption.make("--iterations", type=int, default=3),
+        CliOption.make("--switches", type=switch_count, default=16),
+        CliOption.make("--iterations", type=positive_int, default=3),
         CliOption.make("--packet-size", type=int, default=1024),
-        CliOption.make("--hosts-per-switch", type=int, default=2),
+        CliOption.make("--hosts-per-switch", type=positive_int, default=2),
         CliOption.make("--seed", type=int, default=11),
     )
 
@@ -519,10 +520,10 @@ class RootStudyExperiment(Experiment):
     """Route quality under optimal vs anti-optimal BFS roots (EXP-A5)."""
 
     cli_options = (
-        CliOption.make("--switches", type=int, default=16),
+        CliOption.make("--switches", type=switch_count, default=16),
         CliOption.make("--seed", type=int, default=33),
-        CliOption.make("--hosts-per-switch", type=int, default=1),
-        CliOption.make("--switch-links", type=int, default=3),
+        CliOption.make("--hosts-per-switch", type=positive_int, default=1),
+        CliOption.make("--switch-links", type=positive_int, default=3),
     )
 
     DEFAULT_ROOTS = (("optimal", "choose"), ("anti-optimal", "worst"))
@@ -587,7 +588,7 @@ class AblationLoadExperiment(Experiment):
 
     cli_options = (
         CliOption.make("--size", type=int, default=256),
-        CliOption.make("--iterations", type=int, default=40),
+        CliOption.make("--iterations", type=positive_int, default=40),
         CliOption.make("--background-gap", type=float, default=9_000.0,
                        help="background inter-packet gap (ns)"),
     )
@@ -726,7 +727,7 @@ class AblationTimingExperiment(Experiment):
 
     cli_options = (
         CliOption.make("--size", type=int, default=64),
-        CliOption.make("--iterations", type=int, default=30),
+        CliOption.make("--iterations", type=positive_int, default=30),
     )
 
     def default_spec(self) -> ExperimentSpec:
@@ -806,10 +807,10 @@ class FaultCampaignExperiment(Experiment):
     """
 
     cli_options = (
-        CliOption.make("--loss", type=float, nargs="+",
+        CliOption.make("--loss", type=probability, nargs="+",
                        default=[0.0, 0.02, 0.05],
                        help="packet loss probabilities to sweep"),
-        CliOption.make("--corrupt", type=float, nargs="+",
+        CliOption.make("--corrupt", type=probability, nargs="+",
                        default=[0.0, 0.02],
                        help="packet corruption probabilities to sweep"),
         CliOption.make("--schedules", nargs="+",
@@ -1073,13 +1074,14 @@ class AdaptiveItbExperiment(Experiment):
     """
 
     cli_options = (
-        CliOption.make("--switches", type=int, nargs="+", default=[8, 32]),
+        CliOption.make("--switches", type=switch_count, nargs="+",
+                       default=[8, 32]),
         CliOption.make("--packet-size", type=int, default=512),
         CliOption.make("--rate", type=float, default=0.06,
                        help="offered load (bytes/ns/host)"),
         CliOption.make("--duration", type=float, default=120.0,
                        help="measurement window (us)"),
-        CliOption.make("--hosts-per-switch", type=int, default=2),
+        CliOption.make("--hosts-per-switch", type=positive_int, default=2),
         CliOption.make("--seed", type=int, default=11),
         CliOption.make("--policies", nargs="+", default=None,
                        help="selector policies (default: all)"),

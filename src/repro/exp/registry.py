@@ -26,7 +26,9 @@ __all__ = [
     "list_experiments",
     "positive_float",
     "positive_int",
+    "probability",
     "register_experiment",
+    "switch_count",
 ]
 
 
@@ -41,6 +43,15 @@ def positive_int(text: str) -> int:
     return value
 
 
+def switch_count(text: str) -> int:
+    """argparse type: a switch count, an integer >= 2 (one switch
+    cannot form the irregular fabrics the experiments build)."""
+    value = positive_int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
+    return value
+
+
 def positive_float(text: str) -> float:
     """argparse type: a finite float > 0."""
     try:
@@ -49,6 +60,18 @@ def positive_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
     if not (value > 0 and math.isfinite(value)):
         raise argparse.ArgumentTypeError(f"must be > 0 and finite, got {text}")
+    return value
+
+
+def probability(text: str) -> float:
+    """argparse type: a probability, a float in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must be >= 0 and <= 1, got {text}")
     return value
 
 

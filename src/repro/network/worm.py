@@ -38,16 +38,9 @@ arrival and completion.  The channels are then held only *virtually*;
 every later launch first interrupts intersecting express flights
 (materialising their holds, and demoting any not-yet-acquired suffix
 back to the stepped generator) before it can observe the channels, so
-no contender can tell the difference.
-
-A route contended only from some channel onward still flies its clean
-prefix closed-form (the *claim horizon*,
-``Fabric.claim_horizon``): the clock replays through the request time
-of the first conflicted channel, where a single planned-demotion
-entry materialises the prefix holds and resumes the stepped generator
-— the contended suffix, the destination epilogue, gates, and arbiters
-all behave exactly as on the stepped path.  See the "Express worm
-flight" section of ``docs/ENGINE_FASTPATH.md`` for the invariants.
+no contender can tell the difference.  A route with any claimed lane
+flies stepped from the start.  See the "Express worm flight" section
+of ``docs/ENGINE_FASTPATH.md`` for the invariants.
 """
 
 from __future__ import annotations
@@ -99,12 +92,6 @@ def _forward_delay(target_ns: float, now_ns: float) -> float:
     )
 
 
-#: Minimum clean-channel prefix worth flying closed form.  Two means
-#: at least the injection cable plus one switch output — a one-channel
-#: prefix saves nothing over going stepped from the start.
-_MIN_EXPRESS_PREFIX = 2
-
-
 class WormObserver(Protocol):
     """Destination-side hooks (implemented by the NIC firmware).
 
@@ -147,7 +134,7 @@ class Worm:
         "blocked_ns", "_held", "_held_keys", "_plan", "_lanes",
         "_lane_keys", "_claimed",
         "_express_token", "_express_live", "_express_materialized",
-        "_express_hops", "_acq", "_image_out", "_early", "_remaining",
+        "_acq", "_image_out", "_early", "_remaining",
         "_killed", "_active_proc", "_span", "_hop_times",
     )
 
@@ -192,11 +179,6 @@ class Worm:
         self._express_token = 0
         self._express_live = False
         self._express_materialized = False
-        #: Channels held virtually by the current express flight:
-        #: ``len(plan.channels)`` for a full flight, the claim-horizon
-        #: prefix length for a partial one.  Interrupt handling and the
-        #: kill-time trace replay never look past this count.
-        self._express_hops = 0
         self._acq: list[float] = []
         self._image_out: Optional[PacketImage] = None
         self._early = 0.0
@@ -217,7 +199,7 @@ class Worm:
     def launch(self) -> None:
         """Start the worm process at the current simulation time."""
         self._active_proc = self.sim.process(
-            self._run(), name=f"worm{self.worm_id}")
+            self._guarded(self._flight()), name=f"worm{self.worm_id}")
 
     def kill(self) -> None:
         """Tear down an in-flight worm (fault injection).
@@ -240,9 +222,11 @@ class Worm:
             # flight): settle the channel state synchronously.
             self._abort()
 
-    def _run(self):
+    def _guarded(self, body):
+        """Drive ``body`` (a launch or a demoted stepped tail), turning
+        a fault interrupt or a dead cable into teardown."""
         try:
-            yield from self._flight()
+            yield from body
         except Interrupt:
             self._abort()
         except _LinkDown:
@@ -276,24 +260,18 @@ class Worm:
         # Interrupt intersecting express flights *before* looking at
         # channel state (their holds must be observable from here on),
         # then claim our own lane assignment.
-        horizon = fabric.claim_horizon(self._lane_keys, sim.now)
+        conflict = fabric.claim_conflicts(self._lane_keys, sim.now)
         fabric.register_claims(self, self._lane_keys)
         self._claimed = True
 
-        if fabric.express_enabled and not plan.has_duplicate:
-            n_channels = len(plan.channels)
-            if horizon == n_channels and self._express_eligible(plan):
-                self._launch_express(plan, n_channels)
-                return self
-            if fabric.express_horizon:
-                prefix = self._express_prefix(plan, horizon)
-                if prefix >= _MIN_EXPRESS_PREFIX:
-                    self._launch_express(plan, prefix)
-                    return self
+        if (fabric.express_enabled and not conflict
+                and not plan.has_duplicate
+                and self._express_eligible(plan)):
+            self._launch_express(plan)
+            return
         fabric.express_stats.fallbacks += 1
         fabric.express_stats.stepped_hops += plan.n_hops
-        yield from self._run_stepped(plan)
-        return self
+        yield from self._stepped(0)
 
     # -- span tracing ---------------------------------------------------
 
@@ -344,8 +322,7 @@ class Worm:
         hops = self._hop_times or []
         if not hops and self._acq:
             now = self.sim.now
-            hops = [(a, a)
-                    for a in self._acq[:self._express_hops] if a <= now]
+            hops = [(a, a) for a in self._acq if a <= now]
         if self.fabric.n_lanes > 1:
             # Lane occupancy rides on the hop spans; omitted entirely
             # on single-lane fabrics so their dumps stay byte-stable.
@@ -390,38 +367,9 @@ class Worm:
                 return False
         return True
 
-    def _express_prefix(self, plan: FlightPlan, horizon: int) -> int:
-        """Length of the clean channel prefix for a partial flight.
-
-        Channels strictly below the returned index are unclaimed
-        (``horizon`` came from the claim index), up, and their assigned
-        lanes free with empty queues.  Capped at ``n_hops`` so the
-        final channel — and with it the destination epilogue, gates,
-        and arbiter accounting — always runs stepped.
-        """
-        limit = min(horizon, plan.n_hops)
-        down = self.fabric.down_keys
-        chans = plan.channels
-        lanes = self._lanes
-        for i in range(limit):
-            ch = chans[i]
-            if down and ch.key in down:
-                return i
-            res = ch.lanes[lanes[i]]
-            if not res.free or res.queue_length:
-                return i
-        return limit
-
-    def _launch_express(self, plan: FlightPlan, hold: int) -> None:
-        """Fly ``hold`` channels of the segment in closed form.
-
-        ``hold == len(plan.channels)`` is the full express flight: two
-        calendar entries (header arrival, completion).  A smaller
-        ``hold`` is a claim-horizon prefix flight: the clock replays
-        through the request time of ``channels[hold]`` and a single
-        planned-demotion entry resumes the stepped generator there —
-        the contended suffix then requests lanes hop by hop at the
-        exact instants its stepped twin would have.
+    def _launch_express(self, plan: FlightPlan) -> None:
+        """Fly the whole segment in closed form: two calendar entries
+        (header arrival, completion).
 
         The clock replay below performs the *exact* float-addition
         sequence of the stepped generator (``now = now + delay`` per
@@ -430,11 +378,10 @@ class Worm:
         """
         sim, t = self.sim, self.timings
         chans = plan.channels
-        full = hold == len(chans)
         now = sim.now
         acq = [now]
         head = now + chans[0].prop_ns + t.link_byte_ns
-        for h in range(plan.n_hops if full else hold):
+        for h in range(plan.n_hops):
             out = chans[h + 1]
             delay = _forward_delay(head, now)
             if delay > 0.0:
@@ -443,18 +390,9 @@ class Worm:
             head = now + plan.falls[h] + out.prop_ns
 
         self._acq = acq
-        self._express_hops = hold
         self._express_live = True
-        stats = self.fabric.express_stats
-        stats.hits += 1
+        self.fabric.express_stats.hits += 1
         token = self._express_token
-        if not full:
-            # acq[hold] is the stepped request time of the first
-            # channel past the prefix — the demotion instant.
-            stats.partial += 1
-            sim.schedule_at(acq[hold],
-                            lambda: self._express_demote(token, hold))
-            return
         delay = _forward_delay(head, now)
         if delay > 0.0:
             now = now + delay
@@ -467,42 +405,6 @@ class Worm:
         else:
             c_time = h_time
         sim.schedule_at(c_time, lambda: self._express_complete(token))
-
-    def _express_demote(self, token: int, hold: int) -> None:
-        """Planned demotion of a prefix flight at ``acq[hold]``.
-
-        Reached in two states: still virtual (every prefix acquire
-        time has matured — ``acq`` is non-decreasing — so all holds
-        materialise here), or already materialised by a contender
-        interrupt (the holds are real and are skipped).  Either way
-        the stepped continuation starts, via ``process_now``, at the
-        exact calendar instant the stepped worm would have requested
-        ``channels[hold]``.
-        """
-        if token != self._express_token or self._killed:
-            return
-        plan, acq = self._plan, self._acq
-        chans = plan.channels
-        lanes, keys = self._lanes, self._lane_keys
-        self._express_live = False
-        for i in range(hold):
-            if keys[i] in self._held_keys:
-                continue
-            res = chans[i].lanes[lanes[i]]
-            ok = res.try_acquire(owner=self)
-            assert ok, "express-held lane was not free at demotion"
-            note = getattr(res, "note_acquired_at", None)
-            if note is not None:
-                note(self, acq[i])
-            self._held.append(res)
-            self._held_keys.add(keys[i])
-        if self._hop_times is not None:
-            # Prefix holds were uncontended: request == grant at the
-            # closed-form acquire instants, as the stepped generator
-            # would have recorded.
-            self._hop_times = [(a, a) for a in acq[:hold]]
-        self.fabric.express_stats.stepped_hops += plan.n_hops - (hold - 1)
-        self._spawn_demoted(hold - 1)
 
     def _express_header(self, token: int, arrival: float) -> None:
         """Early-recv notification (stepped path: after the first
@@ -594,10 +496,9 @@ class Worm:
         plan, acq = self._plan, self._acq
         chans = plan.channels
         lanes, keys = self._lanes, self._lane_keys
-        limit = self._express_hops
-        j = limit
-        for i in range(limit):
-            if acq[i] > t1:
+        j = len(acq)
+        for i, a in enumerate(acq):
+            if a > t1:
                 j = i
                 break
         for i in range(j):
@@ -615,115 +516,70 @@ class Worm:
             # stepped generator would have recorded.
             self._hop_times = [(a, a) for a in acq[:j]]
         self._express_live = False
-        if j == limit:
-            # Every virtually-held channel acquired.  A full flight's
-            # header/completion entries remain valid; a prefix flight's
-            # planned demotion stays armed (token untouched) and will
-            # find its holds already real.
+        if j == len(acq):
+            # Every channel acquired: the header/completion entries
+            # remain valid.
             self._express_materialized = True
             return
         # Immature suffix: cancel the express entries and resume the
-        # stepped generator at the instant it would have requested the
-        # next channel.
+        # stepped generator at the instant it would have requested
+        # ``channels[j]``.
         self._express_token += 1
         self.fabric.express_stats.stepped_hops += plan.n_hops - (j - 1)
-        hop = j - 1
-        sim = self.sim
+        self.sim.schedule_at(acq[j], lambda: self._spawn_demoted(j))
+
+    def _spawn_demoted(self, first: int) -> None:
+        if self._killed:
+            return
         # process_now, not process: the continuation's first action is
         # the channel request the stepped worm would have made at this
         # exact calendar position, and it must not lose same-time FIFO
         # races through an extra immediate-lane hop.
-        sim.schedule_at(acq[j], lambda: self._spawn_demoted(hop))
-
-    def _spawn_demoted(self, hop: int) -> None:
-        if self._killed:
-            return
         self._active_proc = self.sim.process_now(
-            self._demoted_tail(hop), name=f"worm{self.worm_id}-demoted")
-
-    def _demoted_tail(self, hop: int):
-        """Stepped continuation from switch hop ``hop`` onwards.
-
-        Entered at the natural request time of ``channels[hop + 1]``;
-        the prefix up to ``channels[hop]`` is already held with exact
-        stepped timestamps.
-        """
-        try:
-            yield from self._demoted_tail_body(hop)
-        except Interrupt:
-            self._abort()
-        except _LinkDown:
-            self._abort()
-            self._notify_lost()
-
-    def _demoted_tail_body(self, hop: int):
-        sim = self.sim
-        plan = self._plan
-        out = plan.channels[hop + 1]
-        block_start = sim.now
-        yield from self._acquire(out, hop + 1)
-        self.blocked_ns += sim.now - block_start
-        if self._hop_times is not None:
-            self._hop_times.append((block_start, sim.now))
-        head_at_input = sim.now + plan.falls[hop] + out.prop_ns
-
-        for h in range(hop + 1, plan.n_hops):
-            out = plan.channels[h + 1]
-            delay = _forward_delay(head_at_input, sim.now)
-            if delay > 0.0:
-                yield Timeout(delay)
-            block_start = sim.now
-            yield from self._acquire(out, h + 1)
-            self.blocked_ns += sim.now - block_start
-            if self._hop_times is not None:
-                self._hop_times.append((block_start, sim.now))
-            head_at_input = sim.now + plan.falls[h] + out.prop_ns
-
-        delay = _forward_delay(head_at_input, sim.now)
-        if delay > 0.0:
-            yield Timeout(delay)
-        yield from self._finish_stepped()
+            self._guarded(self._stepped(first)),
+            name=f"worm{self.worm_id}-demoted")
 
     # -- stepped lane ---------------------------------------------------
 
-    def _run_stepped(self, plan: FlightPlan):
+    def _stepped(self, first: int):
+        """Hop-by-hop flight from ``channels[first]`` to the destination.
+
+        ``first == 0`` is a stepped launch.  A larger ``first`` resumes
+        a demoted express flight: it is entered at the natural request
+        time of ``channels[first]``, with every earlier channel already
+        held at its exact stepped timestamps.
+        """
         sim = self.sim
-        t = self.timings
-
-        # Injection channel: host NIC -> first switch.  The NIC's send
-        # DMA only starts when the wire is free (Stop&Go at the source).
-        out = plan.channels[0]
-        block_start = sim.now
-        yield from self._acquire(out, 0)
-        if self._hop_times is not None:
-            self._hop_times.append((block_start, sim.now))
-        # Leading byte reaches the first switch after propagation + one
-        # byte time on the wire.
-        head_at_input = sim.now + out.prop_ns + t.link_byte_ns
-
-        for h in range(plan.n_hops):
-            out = plan.channels[h + 1]
-            # Routing decision + crossbar setup happen as the header
-            # arrives; the output may be busy (wormhole blocking).
-            delay = _forward_delay(head_at_input, sim.now)
-            if delay > 0.0:
-                yield Timeout(delay)
+        plan = self._plan
+        chans = plan.channels
+        for i in range(first, len(chans)):
+            out = chans[i]
+            if i > first:
+                # Routing decision + crossbar setup happen as the
+                # header arrives; the output may be busy (wormhole
+                # blocking).
+                delay = _forward_delay(head_at_input, sim.now)
+                if delay > 0.0:
+                    yield Timeout(delay)
             block_start = sim.now
-            yield from self._acquire(out, h + 1)
-            self.blocked_ns += sim.now - block_start
+            yield from self._acquire(out, i)
+            if i:
+                self.blocked_ns += sim.now - block_start
+                head_at_input = sim.now + plan.falls[i - 1] + out.prop_ns
+            else:
+                # Injection channel: the NIC's send DMA only starts
+                # when the wire is free (Stop&Go at the source); the
+                # leading byte reaches the first switch after
+                # propagation + one byte time on the wire.
+                head_at_input = (sim.now + out.prop_ns
+                                 + self.timings.link_byte_ns)
             if self._hop_times is not None:
                 self._hop_times.append((block_start, sim.now))
-            head_at_input = sim.now + plan.falls[h] + out.prop_ns
 
         # Head (first byte past all switches) reaches the destination NIC.
         delay = _forward_delay(head_at_input, sim.now)
         if delay > 0.0:
             yield Timeout(delay)
-        yield from self._finish_stepped()
-
-    def _finish_stepped(self):
-        """Destination-side epilogue shared by every stepped variant."""
-        sim = self.sim
         self.header_time = sim.now
         self.image = self._image_out  # route bytes consumed; NIC sees type
 

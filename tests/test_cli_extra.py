@@ -98,6 +98,19 @@ class TestRunCommand:
         ["vc-study", "--rates", "0"],
         ["fig7", "--iterations", "0"],
         ["fig8", "--iterations", "0"],
+        ["throughput", "--switches", "1"],
+        ["vc-study", "--switches", "1"],
+        ["apps", "--switches", "1"],
+        ["root-study", "--switches", "1"],
+        ["apps", "--iterations", "0"],
+        ["ablation-load", "--iterations", "0"],
+        ["ablation-timing", "--iterations", "0"],
+        ["throughput", "--hosts-per-switch", "0"],
+        ["apps", "--hosts-per-switch", "0"],
+        ["root-study", "--hosts-per-switch", "0"],
+        ["root-study", "--switch-links", "0"],
+        ["fault-campaign", "--loss", "1.5"],
+        ["fault-campaign", "--corrupt", "-0.2"],
     ], ids=lambda argv: " ".join(argv))
     def test_non_positive_traffic_sizes_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc_info:

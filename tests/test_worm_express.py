@@ -9,8 +9,14 @@ and identical observer logs.  The deterministic scenarios are built
 tie-free (no two observable events share a timestamp), so their logs
 compare as ordered sequences; the hypothesis property test drives
 random contended traffic and compares per-worm tuples exactly plus
-the event log as a multiset (same-timestamp dispatch order is the one
-legitimate freedom the engine keeps).
+the event log as a multiset, because same-timestamp notifications
+may dispatch in a different order on the two lanes.
+
+That order is not a harmless freedom: a swapped same-instant pair can
+decide a later FIFO arbitration and so move every result downstream.
+The differential cases at the end therefore run whole experiments
+through the CLI with the lane on and off and require byte-identical
+persisted documents; one known divergence is kept as a strict xfail.
 """
 
 from __future__ import annotations
@@ -19,9 +25,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main as cli_main
 from repro.core.builder import build_network
 from repro.core.config import NetworkConfig
 from repro.core.timings import Timings
+from repro.harness.apps import measure_app_point
 from repro.harness.paths import fig6_paths
 from repro.mcp.packet_format import encode_packet
 from repro.network.fabric import Fabric
@@ -467,12 +475,12 @@ def test_random_contended_traffic_equivalent(traffic):
 
 
 class TestClaimHorizon:
-    """Claim-horizon partial flights (``fabric.express_horizon``): a
-    lightly-contended route flies its clean channel prefix closed-form
-    and demotes only the contended suffix.  Every scenario runs three
-    ways — horizon, express-without-horizon, stepped — and must produce
-    identical per-worm records and observer logs; only the counters
-    (``partial`` vs ``fallbacks``) distinguish the modes."""
+    """Launches whose first claimed channel (the claim horizon) lies
+    past the injection cable.  Any claimed lane sends a launch down the
+    stepped path whole, so a contended route never flies a partial
+    express prefix.  Every scenario runs express and stepped and must
+    produce identical per-worm records and observer logs; only the
+    express counters distinguish the modes."""
 
     def _net(self, first_hop_hosts: bool = False):
         """5-switch line with mid-line crossing hosts for contention."""
@@ -505,30 +513,20 @@ class TestClaimHorizon:
         return sim, fabric, sws, main, late, early
 
     @staticmethod
-    def _modes():
-        # (express_enabled, express_horizon)
-        return {"horizon": (True, True),
-                "express": (True, False),
-                "stepped": (False, False)}
+    def _express_stats(scenario):
+        """Run ``scenario`` both ways, require equivalence, and return
+        the express-mode counters."""
+        express, stepped = _run_both(scenario)
+        _assert_equivalent(express, stepped)
+        assert stepped[2].express_stats.hits == 0
+        return express[2].express_stats
 
-    def _run_modes(self, scenario):
-        out = {}
-        for mode, (express, horizon) in self._modes().items():
-            out[mode] = scenario(express, horizon)
-        records = {m: r[0] for m, r in out.items()}
-        logs = {m: r[1] for m, r in out.items()}
-        assert records["horizon"] == records["express"] == records["stepped"]
-        assert logs["horizon"] == logs["express"] == logs["stepped"]
-        return {m: r[2] for m, r in out.items()}  # fabrics
-
-    def test_late_blocker_truncates_not_demotes(self):
-        """A blocker holding the 4th trunk: the horizon lane flies the
-        clean 4-channel prefix closed-form (one partial), where the
-        plain express lane falls all the way back to stepped."""
-        def scenario(express, horizon):
+    def test_late_blocker_falls_back(self):
+        """A blocker claiming the 4th trunk: the main worm's clean
+        4-channel prefix does not fly express; the whole launch steps."""
+        def scenario(express):
             sim, fabric, _sws, main, late, _early = self._net()
             fabric.express_enabled = express
-            fabric.express_horizon = horizon
             log: list = []
             obs = LogObserver(log)
             worms = {
@@ -539,24 +537,17 @@ class TestClaimHorizon:
             sim.run()
             return _records(worms), log, fabric
 
-        fabrics = self._run_modes(scenario)
-        horizon_stats = fabrics["horizon"].express_stats
-        assert horizon_stats.partial == 1
-        assert horizon_stats.hits == 2          # L full + M partial
-        assert horizon_stats.fallbacks == 0
-        plain_stats = fabrics["express"].express_stats
-        assert plain_stats.partial == 0
-        assert plain_stats.hits == 1            # only L
-        assert plain_stats.fallbacks == 1       # M bailed on any conflict
+        stats = self._express_stats(scenario)
+        assert stats.hits == 1          # only L
+        assert stats.fallbacks == 1     # M stepped on the conflict
 
-    def test_down_link_mid_route_truncates_and_kills(self):
-        """A dead trunk past the prefix: the partial flight flies up
-        to the down channel, then the stepped suffix loses the head
-        there — identical loss timing in all three modes."""
-        def scenario(express, horizon):
+    def test_down_link_mid_route_kills(self):
+        """A dead trunk mid-route: the launch is express-ineligible and
+        the stepped flight loses the head at the down channel, with
+        identical loss timing in both modes."""
+        def scenario(express):
             sim, fabric, sws, main, _late, _early = self._net()
             fabric.express_enabled = express
-            fabric.express_horizon = horizon
             trunk = next(
                 link for link in fabric.topo.links
                 if {link.node_a, link.node_b} == {sws[2], sws[3]})
@@ -568,44 +559,44 @@ class TestClaimHorizon:
             worms = {"M": _launch_at(sim, fabric, main, b"d" * 256,
                                      LogObserver(log), "M")}
             sim.run()
+            assert [tag for tag, _t in lost] == ["M"]
             return _records(worms), log + lost, fabric
 
-        fabrics = self._run_modes(scenario)
-        assert fabrics["horizon"].express_stats.partial == 1
-        assert fabrics["express"].express_stats.fallbacks == 1
+        stats = self._express_stats(scenario)
+        assert stats.hits == 0
+        assert stats.fallbacks == 1
 
-    def test_contender_inside_prefix_interrupts_partial(self):
-        """A partial flight's *virtual* prefix is interrupted by a
-        contender claiming inside it: the holds materialize with exact
-        stepped timestamps and both worms finish identically."""
-        def scenario(express, horizon):
-            sim, fabric, _sws, main, late, early = self._net()
+    def test_mid_route_contender_demotes_express(self):
+        """A contender claims the second trunk while the main worm's
+        express head is still approaching it: the mature holds
+        materialize, the rest of the route demotes to the stepped
+        generator, and both worms finish as on the stepped path."""
+        def scenario(express):
+            sim, fabric, _sws, main, _late, early = self._net()
             fabric.express_enabled = express
-            fabric.express_horizon = horizon
             log: list = []
             obs = LogObserver(log)
             worms = {
-                "L": _launch_at(sim, fabric, late, b"z" * 400, obs, "L"),
-                "M": _launch_at(sim, fabric, main, b"z" * 300, obs, "M",
-                                at=10.0),
+                "M": _launch_at(sim, fabric, main, b"z" * 300, obs, "M"),
                 "E": _launch_at(sim, fabric, early, b"z" * 300, obs, "E",
                                 at=20.0),
             }
             sim.run()
             return _records(worms), log, fabric
 
-        fabrics = self._run_modes(scenario)
-        assert fabrics["horizon"].express_stats.partial >= 1
+        stats = self._express_stats(scenario)
+        assert stats.hits == 1          # M launched express
+        assert stats.fallbacks == 1     # E stepped on the conflict
+        # E's 2 hops plus the demoted remainder of M's route.
+        assert stats.stepped_hops > 2
 
     def test_short_prefix_falls_back(self):
-        """A conflict on the second channel leaves a 1-channel prefix —
-        below ``_MIN_EXPRESS_PREFIX``, so the horizon lane declines the
-        partial flight and runs fully stepped like plain express."""
-        def scenario(express, horizon):
+        """A conflict on the second channel (the first switch output)
+        leaves only the injection cable clean: the launch steps."""
+        def scenario(express):
             sim, fabric, _sws, main, blocker = self._net(
                 first_hop_hosts=True)
             fabric.express_enabled = express
-            fabric.express_horizon = horizon
             log: list = []
             obs = LogObserver(log)
             worms = {
@@ -616,16 +607,16 @@ class TestClaimHorizon:
             sim.run()
             return _records(worms), log, fabric
 
-        fabrics = self._run_modes(scenario)
-        assert fabrics["horizon"].express_stats.partial == 0
-        assert fabrics["horizon"].express_stats.fallbacks == 1
+        stats = self._express_stats(scenario)
+        assert stats.hits == 1          # only B
+        assert stats.fallbacks == 1
 
     def test_horizon_spans_identical(self):
-        """Partial flights must emit the same span tree as stepped."""
-        def traced(express, horizon):
+        """A launch stepping on a mid-route conflict emits the same
+        span tree as with the express lane off."""
+        def traced(express):
             sim, fabric, _sws, main, late, _early = self._net()
             fabric.express_enabled = express
-            fabric.express_horizon = horizon
             fabric.tracer = SpanTracer()
             log: list = []
             obs = LogObserver(log)
@@ -634,7 +625,60 @@ class TestClaimHorizon:
             sim.run()
             return tree_signature(fabric.tracer.spans)
 
-        signatures = {mode: traced(*flags)
-                      for mode, flags in self._modes().items()}
-        assert (signatures["horizon"] == signatures["express"]
-                == signatures["stepped"])
+        assert traced(True) == traced(False)
+
+
+# ---------------------------------------------------------------------------
+# whole-experiment differential: express on vs off
+# ---------------------------------------------------------------------------
+
+
+_FABRIC_INIT = Fabric.__init__
+
+
+def _force_express(monkeypatch, enabled: bool) -> None:
+    """Build every fabric with the express lane forced on or off."""
+
+    def forced(self, *args, **kwargs):
+        _FABRIC_INIT(self, *args, **kwargs)
+        self.express_enabled = enabled
+
+    monkeypatch.setattr(Fabric, "__init__", forced)
+
+
+@pytest.mark.parametrize("argv", [
+    ["throughput", "--switches", "8", "--rates", "0.1",
+     "--duration", "80"],
+    ["apps", "--switches", "8", "--iterations", "2"],
+], ids=["throughput", "apps"])
+def test_express_lane_keeps_persisted_document(argv, tmp_path, monkeypatch):
+    """The express lane must not change a single byte of a saved
+    result document."""
+    docs = {}
+    for enabled in (True, False):
+        _force_express(monkeypatch, enabled)
+        out = tmp_path / f"express_{enabled}.json"
+        assert cli_main(["run", *argv, "--save", str(out)]) == 0
+        docs[enabled] = out.read_bytes()
+    assert docs[True] == docs[False]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a demoted flight's stepped continuation takes its calendar seq at"
+    " the interrupt, not at the previous hop's acquire as its stepped"
+    " twin does, so same-instant ties break the other way"))
+def test_express_lane_random_pairs_completion(monkeypatch):
+    """Worms 24->38 and 35->27 both launch express at 3441.75 ns and
+    are both demoted; they resume at 3460.9 ns in the opposite order
+    to their stepped twins and finish at the same instant in swapped
+    order.  The channels they release then go to 21->44 and 22->39 in
+    swapped order, and the kernel completes 48675.45 ns against
+    41918.0 ns."""
+    results = {}
+    for enabled in (True, False):
+        _force_express(monkeypatch, enabled)
+        results[enabled] = measure_app_point(
+            kernel="random-pairs", routing="updown", n_switches=16,
+            iterations=1, message_size=1024, hosts_per_switch=2,
+            topo_seed=11, seed=13).completion_ns
+    assert results[True] == results[False]
