@@ -5,7 +5,7 @@ A reproduction is only trustworthy if you can see inside it.  This
 example drives every diagnostic surface the library offers:
 
 1. topology rendering (text + DOT) with the up*/down* orientation,
-2. a packet-lifecycle timeline through an in-transit host,
+2. a span waterfall of one packet through an in-transit host,
 3. one-way latency decomposition into the component budget,
 4. live fabric-load metering (Jain fairness, root concentration),
 5. the runtime deadlock detector catching a real circular wait on a
@@ -20,11 +20,11 @@ from repro.core.timings import Timings
 from repro.harness.breakdown import measure_breakdown
 from repro.harness.paths import fig6_paths
 from repro.harness.report import format_table
-from repro.harness.timeline import packet_timeline
 from repro.harness.throughput import build_load_network
 from repro.harness.workloads import drive_traffic
 from repro.network.deadlock import detect_deadlock
 from repro.network.instrumentation import attach_usage_meter
+from repro.obs.tracing import SpanTracer, span_tree, waterfall_lines
 from repro.routing.routes import SourceRoute
 from repro.routing.spanning_tree import build_orientation
 from repro.topology.export import to_text
@@ -43,19 +43,20 @@ def tour_topology() -> None:
 def tour_timeline_and_breakdown() -> None:
     print()
     print("=" * 70)
-    print("2+3. packet timeline + latency breakdown through one ITB")
+    print("2+3. span waterfall + latency breakdown through one ITB")
     print("=" * 70)
     cfg = NetworkConfig(
-        firmware="itb", routing="updown", trace=True,
+        firmware="itb", routing="updown",
         timings=Timings().with_overrides(host_jitter_sigma_ns=0.0),
     )
     net = build_network("fig6", config=cfg)
     paths = fig6_paths(net.topo, net.roles)
+    # The breakdown records its packet's spans on the attached tracer.
+    tracer = net.fabric.tracer = SpanTracer()
     breakdown = measure_breakdown(net, "host1", "host2", size=512,
                                   route=paths.itb5)
-    # The breakdown sent exactly one packet; find it in the trace.
-    inject = net.trace.first("inject")
-    print(packet_timeline(net.trace, inject.detail["pid"]).render())
+    for line in waterfall_lines(span_tree(tracer.spans)):
+        print(line)
     print()
     print(format_table(
         ["component", "ns", "%"],

@@ -37,7 +37,8 @@ import sys
 from typing import Optional, Sequence
 
 from repro.exp import Experiment, list_experiments
-from repro.exp.registry import positive_int
+from repro.exp.registry import (non_negative_int, positive_float,
+                                positive_int, switch_count)
 from repro.harness.fig7 import DEFAULT_SIZES, run_fig7
 from repro.harness.fig8 import run_fig8
 from repro.harness.report import format_table
@@ -240,10 +241,6 @@ def _cmd_obs(args) -> int:
                                       registry_table)
     from repro.obs.run import export_all, run_obs
 
-    if args.interval <= 0:
-        print("repro obs: error: --interval must be positive: "
-              f"{args.interval}", file=sys.stderr)
-        return 2
     r = run_obs(
         topology=args.topology,
         switches=args.switches,
@@ -292,47 +289,13 @@ def _cmd_obs(args) -> int:
     return 0
 
 
-def _waterfall_lines(roots, width: int = 44) -> list[str]:
-    """Render a span tree as depth-indented rows with scaled bars.
-
-    Each row is ``name | bar | duration``; the bar's position and
-    length map the span onto the trace's ``[t0, t1]`` window, so queue
-    waits, wire time, cut-through overlap, and retransmission gaps are
-    visible at a glance.
-    """
-    flat: list[tuple[dict, int]] = []
-
-    def _walk(node: dict, depth: int) -> None:
-        flat.append((node, depth))
-        for child in node["children"]:
-            _walk(child, depth + 1)
-
-    for root in roots:
-        _walk(root, 0)
-    t0 = min(n["start"] for n, _ in flat)
-    t1 = max(n["end"] if n["end"] is not None else n["start"]
-             for n, _ in flat)
-    window = max(t1 - t0, 1e-9)
-    lines = []
-    for node, depth in flat:
-        end = node["end"] if node["end"] is not None else t1
-        a = min(int((node["start"] - t0) / window * width), width - 1)
-        b = min(max(int((end - t0) / window * width), a + 1), width)
-        label = ("  " * depth + node["name"])[:26].ljust(26)
-        bar = (" " * a + "#" * (b - a)).ljust(width)
-        note = "" if node["status"] == "ok" else f"  [{node['status']}]"
-        lines.append(
-            f"{label}|{bar}| {(end - node['start']) / 1000.0:9.3f} us{note}")
-    return lines
-
-
 def _cmd_trace(args) -> int:
     """``repro trace``: run a traced workload, inspect the span trees."""
     from fractions import Fraction
 
     from repro.obs.critical_path import CATEGORIES, breakdown_dump
     from repro.obs.run import export_all, run_obs
-    from repro.obs.tracing import span_tree
+    from repro.obs.tracing import span_tree, waterfall_lines
 
     r = run_obs(
         topology=args.topology,
@@ -362,7 +325,7 @@ def _cmd_trace(args) -> int:
         for b in slowest:
             print(f"\ntrace {b.trace_id}: {b.total_ns / 1000.0:.3f} us,"
                   f" {b.n_attempts} attempt(s), status {b.status}")
-            for line in _waterfall_lines(
+            for line in waterfall_lines(
                     span_tree(tracer.spans_of(b.trace_id))):
                 print(f"  {line}")
         return 0
@@ -567,24 +530,24 @@ def build_parser() -> argparse.ArgumentParser:
                                    " telemetry dump")
     p.add_argument("--topology", choices=("fig6", "random"),
                    default="fig6")
-    p.add_argument("--switches", type=int, default=8)
-    p.add_argument("--hosts-per-switch", type=int, default=2)
+    p.add_argument("--switches", type=switch_count, default=8)
+    p.add_argument("--hosts-per-switch", type=positive_int, default=2)
     p.add_argument("--routing", choices=("updown", "itb"),
                    default="updown")
-    p.add_argument("--load", type=float, default=0.02,
+    p.add_argument("--load", type=positive_float, default=0.02,
                    help="offered load (bytes/ns/host; link = 0.16)")
-    p.add_argument("--packet-size", type=int, default=512)
-    p.add_argument("--duration", type=float, default=50.0,
+    p.add_argument("--packet-size", type=positive_int, default=512)
+    p.add_argument("--duration", type=positive_float, default=50.0,
                    help="measurement window (us)")
     p.add_argument("--warmup", type=float, default=0.0,
                    help="warmup before the window (us)")
-    p.add_argument("--interval", type=float, default=1000.0,
+    p.add_argument("--interval", type=positive_float, default=1000.0,
                    help="gauge sampling interval (ns)")
     p.add_argument("--seed", type=int, default=5)
     p.add_argument("--traffic-seed", type=int, default=7)
     p.add_argument("--rows", type=int, default=40,
                    help="max telemetry table rows printed")
-    p.add_argument("--trace-every", type=int, default=0,
+    p.add_argument("--trace-every", type=non_negative_int, default=0,
                    help="span-trace every Nth message (0 = tracing off);"
                         " feeds the latency_breakdown_ns histograms")
     p.add_argument("--out", type=str, default="",
@@ -599,14 +562,14 @@ def build_parser() -> argparse.ArgumentParser:
                         " attribution; export: span dump + chrome trace")
     p.add_argument("--topology", choices=("fig6", "random"),
                    default="fig6")
-    p.add_argument("--switches", type=int, default=8)
-    p.add_argument("--hosts-per-switch", type=int, default=2)
+    p.add_argument("--switches", type=switch_count, default=8)
+    p.add_argument("--hosts-per-switch", type=positive_int, default=2)
     p.add_argument("--routing", choices=("updown", "itb"),
                    default="updown")
-    p.add_argument("--load", type=float, default=0.02,
+    p.add_argument("--load", type=positive_float, default=0.02,
                    help="offered load (bytes/ns/host; link = 0.16)")
-    p.add_argument("--packet-size", type=int, default=512)
-    p.add_argument("--duration", type=float, default=50.0,
+    p.add_argument("--packet-size", type=positive_int, default=512)
+    p.add_argument("--duration", type=positive_float, default=50.0,
                    help="measurement window (us)")
     p.add_argument("--warmup", type=float, default=0.0,
                    help="warmup before the window (us)")
@@ -634,8 +597,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("discover", help="run the mapper's exploration")
     p.add_argument("--topology", choices=("fig6", "random"),
                    default="fig6")
-    p.add_argument("--switches", type=int, default=8)
-    p.add_argument("--hosts-per-switch", type=int, default=1)
+    p.add_argument("--switches", type=switch_count, default=8)
+    p.add_argument("--hosts-per-switch", type=positive_int, default=1)
     p.add_argument("--seed", type=int, default=5)
     p.set_defaults(func=_cmd_discover)
 

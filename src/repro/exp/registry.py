@@ -43,6 +43,17 @@ def positive_int(text: str) -> int:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def switch_count(text: str) -> int:
     """argparse type: a switch count, an integer >= 2 (one switch
     cannot form the irregular fabrics the experiments build)."""

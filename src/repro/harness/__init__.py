@@ -62,18 +62,13 @@ from repro.harness.report import (
     registry_table,
 )
 from repro.harness.persist import load_results, save_results
-from repro.harness.chrome_trace import (
-    to_chrome_trace,
-    to_counter_events,
-    write_chrome_trace,
-)
+from repro.harness.chrome_trace import to_counter_events, write_chrome_trace
 from repro.harness.root_study import (
     RootStudyResult,
     RootStudyRow,
     measure_root_point,
     run_root_study,
 )
-from repro.harness.timeline import PacketTimeline, packet_timeline
 from repro.harness.validation import ValidationReport, validate_claims
 
 __all__ = [
@@ -90,7 +85,6 @@ __all__ = [
     "Fig8Result",
     "LatencyBreakdown",
     "LatencySummary",
-    "PacketTimeline",
     "RootStudyResult",
     "RootStudyRow",
     "ThroughputPoint",
@@ -112,7 +106,6 @@ __all__ = [
     "measure_fig8_point",
     "measure_load_point",
     "measure_root_point",
-    "packet_timeline",
     "paper_vs_measured",
     "profiler_table",
     "permutation_traffic",
@@ -130,7 +123,6 @@ __all__ = [
     "saturation_point",
     "summarize_latencies",
     "registry_table",
-    "to_chrome_trace",
     "to_counter_events",
     "uniform_traffic",
     "validate_claims",

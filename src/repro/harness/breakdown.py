@@ -4,7 +4,7 @@ Breaks a message's end-to-end latency into the component budget the
 paper's timing arguments reason about: host software, SDMA, send
 machine, wire + switches, receive machine + ITB check, RDMA, and —
 for in-transit paths — the per-ITB forward cost.  Sourced from the
-packet's timestamps plus the structured trace, so the numbers are
+packet's timestamps plus its causal span trace, so the numbers are
 *observed*, not re-derived from the timing constants (tests compare
 the two).
 """
@@ -54,48 +54,53 @@ def measure_breakdown(
 ) -> LatencyBreakdown:
     """Send one packet and decompose its one-way latency.
 
-    Requires a network built with ``trace=True`` when per-ITB forward
-    times are wanted (they come from the trace); otherwise the ITB
-    component is derived from the packet's recorded forward
-    timestamps.
+    The packet travels under its own span trace, recorded on
+    ``net.fabric.tracer`` (a temporary tracer when none is attached).
+    Each transit host's forward time runs from the segment's
+    Early-Recv instant to the start of the next segment's ``wire``
+    span — the actual re-injection, including any wait for the send
+    engine.
     """
+    from repro.obs.tracing import SpanTracer
+
     if isinstance(route, SourceRoute):
         route = ItbRoute((route,))
     src_id, dst_id = net.host_id(src), net.host_id(dst)
-    done = net.sim.event("breakdown")
+    sim = net.sim
+    done = sim.event("breakdown")
     holder: dict[str, TransitPacket] = {}
+    fabric = net.fabric
+    tracer = fabric.tracer
+    if tracer is None:
+        fabric.tracer = SpanTracer()
+    ctx = fabric.tracer.message(sim.now, f"breakdown[{src_id}]",
+                                src_id, dst_id, size)
 
     def on_final(tp: TransitPacket) -> None:
         holder["tp"] = tp
+        ctx.root.close(sim.now, (tp.drop_reason or "dropped")
+                       if tp.dropped else "ok")
         done.succeed()
 
-    net.nics[src_id].firmware.host_send(
-        dst=dst_id, payload_len=size, gm={"last": True},
-        on_delivered=on_final, route=route,
-    )
-    net.sim.run_until_event(done)
+    try:
+        net.nics[src_id].firmware.host_send(
+            dst=dst_id, payload_len=size, gm={"last": True},
+            on_delivered=on_final, route=route, trace=ctx,
+        )
+        sim.run_until_event(done)
+    finally:
+        fabric.tracer = tracer
     tp = holder["tp"]
     if tp.dropped:
         raise RuntimeError(f"breakdown packet dropped: {tp.drop_reason}")
     assert tp.t_api_send is not None and tp.t_inject is not None
     assert tp.t_complete_dst is not None and tp.t_deliver is not None
 
-    # Time inside transit hosts: from each segment's arrival at the
-    # transit NIC (recorded in itb_times as the Early-Recv instant) to
-    # that segment's re-injection.  The trace gives exact re-inject
-    # instants; without a trace, approximate with the firmware cost.
-    itb_ns = 0.0
-    if tp.itb_times:
-        reinjects = []
-        if net.trace is not None:
-            for rec in net.trace.records():
-                if (rec.kind in ("reinject_immediate", "reinject_pending")
-                        and rec.detail.get("pid") == tp.pid):
-                    reinjects.append(rec.time)
-        if len(reinjects) == len(tp.itb_times):
-            itb_ns = sum(r - s for s, r in zip(tp.itb_times, reinjects))
-        else:
-            itb_ns = len(tp.itb_times) * net.config.timings.itb_forward_ns
+    wire_start = {s.attrs["seg"]: s.start
+                  for s in ctx.tracer.spans_of(ctx.root.trace_id)
+                  if s.name == "wire"}
+    itb_ns = sum((wire_start[k + 1] - t_early
+                  for k, t_early in enumerate(tp.itb_times)), 0.0)
 
     return LatencyBreakdown(
         total_ns=tp.t_deliver - tp.t_api_send,

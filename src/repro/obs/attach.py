@@ -1,14 +1,14 @@
 """Wire a built network's existing stat silos into one registry.
 
-Before this module, the repo's observability lived in five unconnected
-places — ``NicStats`` counters, ``FabricUsage`` channel meters, the
-structured trace, harness latency summaries, and the chrome-trace
-export.  :func:`instrument_network` registers all of them into a
-single :class:`~repro.obs.registry.MetricsRegistry` (callback-backed,
-so the hot paths keep mutating their plain attributes) and optionally
-starts a :class:`~repro.obs.sampler.Sampler` and installs a
-:class:`~repro.obs.profiler.Profiler`, returning the whole bundle as a
-:class:`Telemetry`.
+The simulator keeps its counters where the hot paths update them —
+``NicStats`` fields, ``FabricUsage`` channel meters, firmware
+``emit()`` events.  :func:`instrument_network` registers all of them
+into a single :class:`~repro.obs.registry.MetricsRegistry`
+(callback-backed, so the hot paths keep mutating their plain
+attributes) and optionally starts a :class:`~repro.obs.sampler.Sampler`
+and installs a :class:`~repro.obs.profiler.Profiler`, returning the
+whole bundle as a :class:`Telemetry`.  The causal, timed record of the
+same run is the span trace (:mod:`repro.obs.tracing`).
 
 Metric catalog (see ``docs/OBSERVABILITY.md`` for details):
 

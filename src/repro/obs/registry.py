@@ -20,8 +20,8 @@ dataclass fields, ``ChannelUsage`` accumulators) register into the
 registry without rewriting their hot paths.
 
 Metrics are identified by ``(name, labels)``.  The conventional label
-is ``component`` (``nic[host2]``, ``channel[1->3]``), matching the
-component strings the structured trace already uses.
+is ``component`` (``nic[host2]``, ``channel[1->3]``), in the same
+``kind[name]`` style as the span tracer's components (``mcp[host2]``).
 """
 
 from __future__ import annotations

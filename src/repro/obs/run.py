@@ -4,7 +4,7 @@ One call builds a network (the paper's fig6 testbed or a random
 irregular COW), attaches the full telemetry stack
 (:func:`~repro.obs.attach.instrument_network`), drives open-loop
 uniform traffic at a configured load, and returns the registry,
-sampled time series, engine profile, structured trace, and latency
+sampled time series, engine profile, optional span trace, and latency
 summary in one :class:`ObsResult` — which :func:`export_all` dumps as
 Prometheus text, JSON, CSV, and a chrome trace with counter tracks.
 """
@@ -87,7 +87,6 @@ def run_obs(
         recv_buffer_kind="pool",
         pool_bytes=1024 * 1024,
         seed=topo_seed,
-        trace=True,
     )
     if topology == "fig6":
         net = build_network("fig6", config=config)
@@ -166,11 +165,9 @@ def export_all(result: ObsResult, out_dir: Union[str, Path]) -> dict[str, Path]:
     paths["csv"] = csv_path
 
     tracer = result.tracer
-    spans = tracer.spans if tracer is not None else ()
-    if result.net.trace is not None:
-        paths["chrome_trace"] = write_chrome_trace(
-            result.net.trace, out_dir / "trace.json", series=series,
-            spans=spans)
+    paths["chrome_trace"] = write_chrome_trace(
+        out_dir / "trace.json", series=series,
+        spans=tracer.spans if tracer is not None else ())
     if tracer is not None:
         span_path = out_dir / "spans.json"
         span_path.write_text(tracer.dump_json())

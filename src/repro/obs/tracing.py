@@ -46,6 +46,7 @@ __all__ = [
     "load_dump",
     "span_tree",
     "tree_signature",
+    "waterfall_lines",
 ]
 
 
@@ -189,6 +190,20 @@ class SpanTracer:
         """Build the per-packet context carried on a TransitPacket."""
         return PacketTrace(self, root, attempt)
 
+    def message(self, t: float, component: str, src: int, dst: int,
+                length: int) -> PacketTrace:
+        """Root a one-packet message sent straight to the firmware.
+
+        Opens the ``message`` root and its single ``attempt`` child,
+        the shape a GM send has without retransmissions; the caller
+        closes ``root`` at the packet's final disposition.
+        """
+        root = self.begin("message", t, component=component,
+                          src=src, dst=dst, length=length)
+        attempt = self.begin("attempt", t, parent=root, component=component,
+                             seq=0, retry=0, last=True)
+        return PacketTrace(self, root, attempt)
+
     # -- queries -----------------------------------------------------------
 
     def __len__(self) -> int:
@@ -327,6 +342,43 @@ def tree_signature(spans: Iterable[Union[Span, dict]]) -> tuple:
             tuple(_node_sig(c) for c in node["children"]),
         )
     return tuple(_node_sig(root) for root in span_tree(spans))
+
+
+def waterfall_lines(roots: Iterable[dict], width: int = 44) -> list[str]:
+    """Render span trees (from :func:`span_tree`) as timed rows.
+
+    Each row is ``name | bar | duration``, indented by depth; the bar's
+    position and length map the span onto the trees' ``[t0, t1]``
+    window, so queue waits, wire time, cut-through overlap, and
+    retransmission gaps are visible at a glance.  Open spans extend to
+    ``t1``.
+    """
+    flat: list[tuple[dict, int]] = []
+
+    def _walk(node: dict, depth: int) -> None:
+        flat.append((node, depth))
+        for child in node["children"]:
+            _walk(child, depth + 1)
+
+    for root in roots:
+        _walk(root, 0)
+    if not flat:
+        return []
+    t0 = min(n["start"] for n, _ in flat)
+    t1 = max(n["end"] if n["end"] is not None else n["start"]
+             for n, _ in flat)
+    window = max(t1 - t0, 1e-9)
+    lines = []
+    for node, depth in flat:
+        end = node["end"] if node["end"] is not None else t1
+        a = min(int((node["start"] - t0) / window * width), width - 1)
+        b = min(max(int((end - t0) / window * width), a + 1), width)
+        label = ("  " * depth + node["name"])[:26].ljust(26)
+        bar = (" " * a + "#" * (b - a)).ljust(width)
+        note = "" if node["status"] == "ok" else f"  [{node['status']}]"
+        lines.append(
+            f"{label}|{bar}| {(end - node['start']) / 1000.0:9.3f} us{note}")
+    return lines
 
 
 #: Signature of the callable installed on the builder by configure().

@@ -18,8 +18,9 @@ Public surface
     FIFO resource with integer capacity (models physical channels).
 :class:`Store`
     FIFO queue of items with optional capacity (models packet buffers).
-:class:`Trace`
-    Optional structured event trace for debugging and assertions.
+
+Causal tracing lives outside the kernel, in :mod:`repro.obs.tracing`:
+components record spans through ``fabric.tracer``.
 """
 
 from repro.sim.engine import (
@@ -33,7 +34,6 @@ from repro.sim.engine import (
     Timeout,
 )
 from repro.sim.resources import Resource, Store
-from repro.sim.trace import Trace, TraceRecord
 
 __all__ = [
     "AllOf",
@@ -46,6 +46,4 @@ __all__ = [
     "Simulator",
     "Store",
     "Timeout",
-    "Trace",
-    "TraceRecord",
 ]

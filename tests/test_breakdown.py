@@ -9,11 +9,12 @@ from repro.core.config import NetworkConfig
 from repro.core.timings import Timings
 from repro.harness.breakdown import measure_breakdown
 from repro.harness.paths import fig6_paths
+from repro.obs.tracing import SpanTracer
 
 
-def build(trace=True):
+def build():
     cfg = NetworkConfig(
-        firmware="itb", routing="updown", trace=trace,
+        firmware="itb", routing="updown",
         timings=Timings().with_overrides(host_jitter_sigma_ns=0.0),
     )
     return build_network("fig6", config=cfg)
@@ -62,13 +63,39 @@ class TestItbPath:
         t = net.config.timings
         assert b.itb_forward_ns == pytest.approx(t.itb_forward_ns, rel=0.01)
 
-    def test_forward_without_trace_falls_back_to_constant(self):
-        net = build(trace=False)
+    def test_temporary_tracer_detached(self):
+        net = build()
         paths = fig6_paths(net.topo, net.roles)
-        b = measure_breakdown(net, "host1", "host2", size=512,
+        measure_breakdown(net, "host1", "host2", size=512, route=paths.itb5)
+        assert net.fabric.tracer is None
+
+    def test_attached_tracer_records_the_packet(self):
+        net = build()
+        tracer = net.fabric.tracer = SpanTracer()
+        paths = fig6_paths(net.topo, net.roles)
+        measure_breakdown(net, "host1", "host2", size=512, route=paths.itb5)
+        assert net.fabric.tracer is tracer
+        (root,) = tracer.roots()
+        assert root.name == "message" and root.status == "ok"
+        assert [s.attrs["seg"] for s in tracer.spans if s.name == "wire"] \
+            == [0, 1]
+
+    def test_deferred_forward_counts_send_engine_wait(self):
+        """With the transit host's send engine busy, the re-injection
+        waits for it; the forward component runs to the actual
+        re-injection, not to the moment it was queued."""
+        net = build()
+        paths = fig6_paths(net.topo, net.roles)
+        itb = net.nic("itb")
+        # The transit host's own 4 KB packet is draining onto the wire
+        # when the in-transit packet arrives (SDMA ~9 us, wire ~26 us).
+        itb.firmware.host_send(dst=net.host_id("host2"), payload_len=4096,
+                               gm={"last": True})
+        net.sim.run(until=12_000.0)
+        b = measure_breakdown(net, "host1", "host2", size=64,
                               route=paths.itb5)
-        assert b.itb_forward_ns == pytest.approx(
-            net.config.timings.itb_forward_ns)
+        assert itb.stats.itb_pending == 1
+        assert b.itb_forward_ns > 2 * net.config.timings.itb_forward_ns
 
     def test_itb_included_in_network_time(self):
         net = build()

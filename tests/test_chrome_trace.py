@@ -10,85 +10,71 @@ import pytest
 from repro.core.builder import build_network
 from repro.core.config import NetworkConfig
 from repro.core.timings import Timings
-from repro.harness.chrome_trace import (spans_to_chrome_trace,
-                                        to_chrome_trace, write_chrome_trace)
+from repro.harness.chrome_trace import to_span_events, write_chrome_trace
 from repro.harness.paths import fig6_paths
 from repro.obs.tracing import SpanTracer
-from repro.sim.trace import Trace
+from tests.helpers import send_traced
 
 
-def traced_run():
+def traced_run(firmware="itb"):
+    """One firmware-level packet host1 -> host2 through the ITB host."""
     cfg = NetworkConfig(
-        firmware="itb", routing="updown", trace=True,
+        firmware=firmware, routing="updown",
         timings=Timings().with_overrides(host_jitter_sigma_ns=0.0),
     )
     net = build_network("fig6", config=cfg)
     paths = fig6_paths(net.topo, net.roles)
-    done = net.sim.event("one")
-    net.nics[net.roles["host1"]].firmware.host_send(
-        dst=net.roles["host2"], payload_len=256, gm={"last": True},
-        on_delivered=lambda tp: done.succeed(tp), route=paths.itb5,
-    )
-    tp = net.sim.run_until_event(done)
+    tp = send_traced(net, "host1", "host2", size=256, route=paths.itb5)
     return net, tp
 
 
-class TestConversion:
-    def test_every_record_becomes_an_instant(self):
-        net, _tp = traced_run()
-        events = to_chrome_trace(net.trace, durations=False)
-        assert len(events) == len(net.trace)
-        assert all(e["ph"] == "i" for e in events)
+def root_events(tp, events):
+    """The async events of ``tp``'s message root span."""
+    root = tp.trace.root
+    span_id = f"{root.trace_id}.{root.span_id}"
+    return [e for e in events if e.get("id") == span_id]
 
+
+class TestConversion:
     def test_timestamps_in_microseconds(self):
-        trace = Trace()
-        trace.emit(2_000.0, "nic[x]", "inject", pid=1, seg=0)
-        events = to_chrome_trace(trace, durations=False)
-        assert events[0]["ts"] == pytest.approx(2.0)
+        tracer = SpanTracer()
+        tracer.begin("sdma", 2_000.0, component="mcp[x]").close(3_500.0)
+        begin, end = to_span_events(tracer.spans)
+        assert begin["ts"] == pytest.approx(2.0)
+        assert end["ts"] == pytest.approx(3.5)
 
     def test_components_become_rows(self):
         net, _tp = traced_run()
-        events = to_chrome_trace(net.trace)
+        events = to_span_events(net.fabric.tracer.spans)
         tids = {e["tid"] for e in events}
-        assert "nic[host1]" in tids
-        assert "nic[itb]" in tids
-        assert "nic[host2]" in tids
+        assert "mcp[host1]" in tids
+        assert "mcp[itb]" in tids
+        assert "mcp[host2]" in tids
 
     def test_packet_duration_pair_balanced(self):
         net, tp = traced_run()
-        events = to_chrome_trace(net.trace, durations=True)
-        begins = [e for e in events if e.get("ph") == "b"
-                  and e.get("id") == tp.pid]
-        ends = [e for e in events if e.get("ph") == "e"
-                and e.get("id") == tp.pid]
+        events = root_events(tp, to_span_events(net.fabric.tracer.spans))
+        begins = [e for e in events if e["ph"] == "b"]
+        ends = [e for e in events if e["ph"] == "e"]
         assert len(begins) == 1 and len(ends) == 1
         assert begins[0]["ts"] <= ends[0]["ts"]
 
     def test_dropped_packet_closes_span(self):
         """A packet dropped by the original firmware (unknown ITB
-        type) still gets a balanced span."""
-        cfg = NetworkConfig(
-            firmware="original", routing="updown", trace=True,
-            timings=Timings().with_overrides(host_jitter_sigma_ns=0.0),
-        )
-        net = build_network("fig6", config=cfg)
-        paths = fig6_paths(net.topo, net.roles)
-        done = net.sim.event("one")
-        net.nics[net.roles["host1"]].firmware.host_send(
-            dst=net.roles["host2"], payload_len=64, gm={"last": True},
-            on_delivered=lambda tp: done.succeed(tp), route=paths.itb5,
-        )
-        tp = net.sim.run_until_event(done)
+        type) still gets a balanced span carrying the drop reason."""
+        net, tp = traced_run(firmware="original")
         assert tp.dropped
-        events = to_chrome_trace(net.trace, durations=True)
-        phases = [e["ph"] for e in events if e.get("id") == tp.pid]
+        events = root_events(tp, to_span_events(net.fabric.tracer.spans))
+        phases = [e["ph"] for e in events]
         assert phases.count("b") == phases.count("e") == 1
+        (begin,) = [e for e in events if e["ph"] == "b"]
+        assert begin["args"]["status"] == "unknown-type"
 
 
 def span_traced_run():
     """A reliable GM send with the causal span tracer attached."""
     cfg = NetworkConfig(
-        firmware="itb", routing="updown", reliable=True, trace=True,
+        firmware="itb", routing="updown", reliable=True,
         timings=Timings().with_overrides(host_jitter_sigma_ns=0.0),
     )
     net = build_network("fig6", config=cfg)
@@ -117,7 +103,7 @@ class TestSpanEvents:
 
     def test_async_pairs_matched_by_id(self):
         _net, tracer = span_traced_run()
-        events = spans_to_chrome_trace(tracer.spans)
+        events = to_span_events(tracer.spans)
         begins = defaultdict(int)
         ends = defaultdict(int)
         for e in events:
@@ -133,7 +119,7 @@ class TestSpanEvents:
 
     def test_pair_timestamps_ordered(self):
         _net, tracer = span_traced_run()
-        events = spans_to_chrome_trace(tracer.spans)
+        events = to_span_events(tracer.spans)
         by_id = defaultdict(dict)
         for e in events:
             if e.get("cat") == "span":
@@ -146,7 +132,7 @@ class TestSpanEvents:
         nondecreasing timestamp order (spans are recorded in creation
         order, which follows simulated time)."""
         _net, tracer = span_traced_run()
-        events = spans_to_chrome_trace(tracer.spans)
+        events = to_span_events(tracer.spans)
         per_tid = defaultdict(list)
         for e in events:
             if e.get("cat") == "span" and e["ph"] == "b":
@@ -157,7 +143,7 @@ class TestSpanEvents:
 
     def test_flow_events_pair_across_components(self):
         _net, tracer = span_traced_run()
-        events = spans_to_chrome_trace(tracer.spans)
+        events = to_span_events(tracer.spans)
         starts = {e["id"]: e for e in events
                   if e.get("cat") == "flow" and e["ph"] == "s"}
         finishes = {e["id"]: e for e in events
@@ -173,15 +159,15 @@ class TestSpanEvents:
     def test_open_spans_skipped(self):
         tracer = SpanTracer()
         tracer.begin("message", 0.0)  # never closed
-        assert spans_to_chrome_trace(tracer.spans) == []
+        assert to_span_events(tracer.spans) == []
 
     def test_full_export_includes_counters_and_spans(self, tmp_path):
-        """write_chrome_trace merges instant, counter, async-span, and
-        flow events into one loadable document."""
+        """write_chrome_trace merges counter, async-span, and flow
+        events into one loadable document."""
         from repro.obs.attach import instrument_network
 
         cfg = NetworkConfig(
-            firmware="itb", routing="updown", reliable=True, trace=True,
+            firmware="itb", routing="updown", reliable=True,
             timings=Timings().with_overrides(host_jitter_sigma_ns=0.0),
         )
         net = build_network("fig6", config=cfg)
@@ -199,23 +185,24 @@ class TestSpanEvents:
         net.sim.run(until=20_000.0)
         telemetry.stop()
         series = telemetry.sampler.all_series()
-        path = write_chrome_trace(net.trace, tmp_path / "trace.json",
+        path = write_chrome_trace(tmp_path / "trace.json",
                                   series=series, spans=tracer.spans)
         blob = json.loads(path.read_text())
         phases = {e["ph"] for e in blob["traceEvents"]}
-        assert {"i", "C", "b", "e", "s", "f"} <= phases
+        assert phases == {"C", "b", "e", "s", "f"}
 
 
 class TestFileOutput:
     def test_written_file_is_loadable_json(self, tmp_path):
         net, _tp = traced_run()
-        path = write_chrome_trace(net.trace, tmp_path / "trace.json")
+        path = write_chrome_trace(tmp_path / "trace.json",
+                                  spans=net.fabric.tracer.spans)
         blob = json.loads(path.read_text())
         assert "traceEvents" in blob
         assert blob["displayTimeUnit"] == "ns"
         assert len(blob["traceEvents"]) > 0
 
     def test_empty_trace_ok(self, tmp_path):
-        path = write_chrome_trace(Trace(), tmp_path / "empty.json")
+        path = write_chrome_trace(tmp_path / "empty.json")
         blob = json.loads(path.read_text())
         assert blob["traceEvents"] == []

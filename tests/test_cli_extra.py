@@ -111,10 +111,27 @@ class TestRunCommand:
         ["root-study", "--switch-links", "0"],
         ["fault-campaign", "--loss", "1.5"],
         ["fault-campaign", "--corrupt", "-0.2"],
+        ["obs", "--load", "0"],
+        ["obs", "--packet-size", "0"],
+        ["obs", "--duration", "0"],
+        ["obs", "--interval", "0"],
+        ["obs", "--topology", "random", "--switches", "1"],
+        ["obs", "--topology", "random", "--hosts-per-switch", "0"],
+        ["obs", "--trace-every", "-1"],
+        ["trace", "summarize", "--load", "-0.1"],
+        ["trace", "summarize", "--packet-size", "0"],
+        ["trace", "summarize", "--duration", "0"],
+        ["trace", "summarize", "--topology", "random", "--switches", "1"],
+        ["trace", "summarize", "--topology", "random",
+         "--hosts-per-switch", "0"],
+        ["discover", "--topology", "random", "--switches", "1"],
+        ["discover", "--topology", "random", "--hosts-per-switch", "0"],
     ], ids=lambda argv: " ".join(argv))
     def test_non_positive_traffic_sizes_exit_2(self, argv, capsys):
+        if argv[0] not in ("obs", "trace", "discover"):
+            argv = ["run", *argv]  # experiment subcommands
         with pytest.raises(SystemExit) as exc_info:
-            main(["run", *argv])
+            main(argv)
         assert exc_info.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage:")

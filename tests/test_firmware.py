@@ -9,6 +9,7 @@ from repro.core.timings import Timings
 from repro.harness.paths import fig6_paths
 from repro.core.builder import build_network
 from repro.sim.engine import Timeout
+from tests.helpers import send_traced
 
 
 def quiet_config(**kw):
@@ -16,7 +17,6 @@ def quiet_config(**kw):
         firmware="itb",
         routing="updown",
         timings=Timings().with_overrides(host_jitter_sigma_ns=0.0),
-        trace=True,
     )
     defaults.update(kw)
     return NetworkConfig(**defaults)
@@ -116,12 +116,12 @@ class TestItbForwarding:
         completes — the virtual cut-through property of Section 4."""
         net = build_network("fig6", config=quiet_config())
         paths = fig6_paths(net.topo, net.roles)
-        send_one(net, "host1", "host2", size=4096, route=paths.itb5)
-        trace = net.trace
-        reinject = trace.first("reinject_immediate")
-        complete = trace.first("itb_recv_complete")
-        assert reinject is not None and complete is not None
-        assert reinject.time < complete.time
+        tp = send_traced(net, "host1", "host2", size=4096, route=paths.itb5)
+        seg0, seg1 = [s for s in tp.trace.tracer.spans if s.name == "wire"]
+        assert (seg0.attrs["seg"], seg1.attrs["seg"]) == (0, 1)
+        # Segment 1 is on the wire before segment 0 has drained into
+        # the transit host.
+        assert seg1.start < seg0.end
 
     def test_pending_path_when_engine_busy(self):
         """An in-transit packet arriving while the transit host's send

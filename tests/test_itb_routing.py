@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.routing.cdg import is_deadlock_free
 from repro.routing.itb import ItbRouter, first_host_policy, round_robin_policy
-from repro.routing.minimal import MinimalRouter
+from repro.routing.minimal import MinimalRouter, all_shortest_switch_paths
 from repro.routing.routes import RouteError
 from repro.routing.spanning_tree import build_orientation
 from repro.routing.updown import UpDownRouter
@@ -106,27 +107,50 @@ class TestFallbacks:
         topo.validate()
         return topo, sw, hosts
 
-    def test_fallback_to_updown_when_no_host(self):
+    def _fallback_pair(self, allow_longer):
+        """The 4 -> 1 pair rooted at sw2: its only minimal path
+        4 -> 3 -> 1 turns down->up at the hostless sw3."""
         topo, sw, hosts = self._hostless_violation_topo()
-        orientation = build_orientation(topo, root=sw[0])
-        router = ItbRouter(topo, orientation, allow_longer=False)
-        ud = UpDownRouter(topo, orientation)
-        # 4 -> 3 -> 1 is minimal but 3 is hostless; must fall back.
-        route = router.itb_route(hosts[4], hosts[1])
+        orientation = build_orientation(topo, root=sw[2])
+        router = ItbRouter(topo, orientation, allow_longer=allow_longer)
+        (path,) = all_shortest_switch_paths(topo, sw[4], sw[1])
+        assert path == [sw[4], sw[3], sw[1]]
+        assert router.split_points(path) == [1]  # the violation at sw3
+        return topo, hosts, router, UpDownRouter(topo, orientation)
+
+    def _assert_consistent(self, topo, router, route, src, dst):
+        assert route == router.itb_route_pairwise(src, dst)
+        assert is_deadlock_free(topo, [route])
+
+    def test_fallback_to_updown_when_no_host(self):
+        topo, hosts, router, ud = self._fallback_pair(allow_longer=False)
+        with mock.patch.object(router._updown, "itb_route",
+                               wraps=router._updown.itb_route) as spy:
+            route = router.itb_route(hosts[4], hosts[1])
+        # The minimal path's split switch is hostless: plain up*/down*.
+        spy.assert_called_once_with(hosts[4], hosts[1])
         assert route.n_itbs == 0
         assert route.segments[0].switch_path == \
             ud.route(hosts[4], hosts[1]).switch_path
+        self._assert_consistent(topo, router, route, hosts[4], hosts[1])
 
     def test_allow_longer_finds_legalizable_path(self):
         """allow_longer searches longer paths with ITBs where that
         beats the up*/down* fallback; here it can't beat it, so the
         result must still be at least as short."""
-        topo, sw, hosts = self._hostless_violation_topo()
-        orientation = build_orientation(topo, root=sw[0])
-        router = ItbRouter(topo, orientation, allow_longer=True)
-        ud = UpDownRouter(topo, orientation)
-        route = router.itb_route(hosts[4], hosts[1])
-        assert route.n_switches <= ud.route(hosts[4], hosts[1]).n_switches
+        for a, b in ((4, 1), (1, 4)):
+            topo, hosts, router, ud = self._fallback_pair(allow_longer=True)
+            src, dst = hosts[a], hosts[b]
+            with mock.patch.object(
+                    ItbRouter, "_shortest_legalizable", autospec=True,
+                    side_effect=ItbRouter._shortest_legalizable) as search, \
+                 mock.patch.object(
+                    ItbRouter, "_legal_tree_for", autospec=True,
+                    side_effect=ItbRouter._legal_tree_for) as tree:
+                route = router.itb_route(src, dst)
+            assert search.call_count == 1 and tree.call_count == 1
+            assert route.n_switches <= ud.route(src, dst).n_switches
+            self._assert_consistent(topo, router, route, src, dst)
 
     def test_same_host_rejected(self, fig1_setup):
         _, roles, router = fig1_setup

@@ -81,16 +81,16 @@ class TestSendMachinePriorities:
         from repro.core.timings import Timings
         from repro.harness.paths import fig6_paths
         from repro.sim.engine import Timeout as T
+        from tests.helpers import send_traced
 
         cfg = NetworkConfig(
-            firmware="itb", routing="updown", trace=True,
+            firmware="itb", routing="updown",
             timings=Timings().with_overrides(host_jitter_sigma_ns=0.0),
         )
         net = build_network("fig6", config=cfg)
         paths = fig6_paths(net.topo, net.roles)
         itb_host = net.roles["itb"]
         h1, h2 = net.roles["host1"], net.roles["host2"]
-        fw = net.nics[itb_host].firmware
 
         done = net.sim.event("all")
         results = []
@@ -102,28 +102,29 @@ class TestSendMachinePriorities:
 
         def scenario():
             # 1. Transit host starts a big send (occupies the engine).
-            fw.host_send(dst=h2, payload_len=4096, gm={"last": True},
-                         on_delivered=on_final)
+            send_traced(net, itb_host, h2, size=4096, on_final=on_final,
+                        run=False)
             # 2. While it drains, an in-transit packet arrives (will be
             #    deferred: ITB-pending) AND another own send queues up.
             yield T(12_000.0)
-            net.nics[h1].firmware.host_send(
-                dst=h2, payload_len=64, gm={"last": True},
-                on_delivered=on_final, route=paths.itb5)
+            send_traced(net, h1, h2, route=paths.itb5, on_final=on_final,
+                        run=False)
             yield T(500.0)
-            fw.host_send(dst=h2, payload_len=64, gm={"last": True},
-                         on_delivered=on_final)
+            send_traced(net, itb_host, h2, on_final=on_final, run=False)
 
         net.sim.process(scenario(), name="scenario")
         net.sim.run_until_event(done)
         assert net.nics[itb_host].stats.itb_pending == 1
-        # Ordering proof from the trace: the re-injection's inject
-        # precedes the transit host's second own-packet inject.
-        injects = [r for r in net.trace.records(kind="inject")
-                   if r.component == f"nic[{net.topo.node_name(itb_host)}]"]
-        kinds = [("reinject" if r.detail["seg"] > 0 else "own")
-                 for r in injects]
-        assert kinds == ["own", "reinject", "own"]
+        # Ordering proof from the spans: the Send machine dispatches
+        # the deferred re-injection before the transit host's second
+        # own packet.
+        mcp = f"mcp[{net.topo.node_name(itb_host)}]"
+        dispatches = sorted(
+            (s for s in net.fabric.tracer.spans if s.component == mcp
+             and s.name in ("mcp_send", "itb_dispatch")),
+            key=lambda s: s.start)
+        assert [s.name for s in dispatches] == \
+            ["mcp_send", "itb_dispatch", "mcp_send"]
 
     def test_mcp_event_priorities_ordered(self):
         assert McpEventKind.EARLY_RECV < McpEventKind.ITB_PENDING
