@@ -37,6 +37,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro.exp import Experiment, list_experiments
+from repro.exp.experiments import QUICK_SIZES
 from repro.exp.registry import (non_negative_int, positive_float,
                                 positive_int, switch_count)
 from repro.harness.fig7 import DEFAULT_SIZES, run_fig7
@@ -44,12 +45,6 @@ from repro.harness.fig8 import run_fig8
 from repro.harness.report import format_table
 
 __all__ = ["main"]
-
-
-def _sizes(args) -> tuple[int, ...]:
-    if args.full:
-        return DEFAULT_SIZES
-    return (16, 128, 1024, 4096)
 
 
 # ---------------------------------------------------------------------------
@@ -133,20 +128,19 @@ def _cmd_fig1(_args) -> int:
 
 def _cmd_topo(args) -> int:
     """Generate a topology from a spec string and describe it."""
-    from repro.routing.minimal import switch_distances
+    from repro.routing.routes import RouteError
     from repro.routing.spanning_tree import build_orientation
     from repro.topology.export import to_dot, to_text
     from repro.topology.generators import make_topology
-
     from repro.topology.graph import TopologyError
 
     try:
         topo = make_topology(args.spec)
-    except TopologyError as exc:
+        orientation = build_orientation(
+            topo, root=args.root if args.root >= 0 else None)
+    except (TopologyError, RouteError) as exc:
         print(f"repro topo: {exc}", file=sys.stderr)
         return 2
-    orientation = build_orientation(
-        topo, root=args.root if args.root >= 0 else None)
     if args.dot:
         print(to_dot(topo, orientation))
         return 0
@@ -155,7 +149,7 @@ def _cmd_topo(args) -> int:
         return 0
 
     switches = topo.switches()
-    ecc = {s: max(switch_distances(topo, s).values()) for s in switches}
+    ecc = {s: max(topo.switch_distances(s).values()) for s in switches}
     degree = {
         s: len({n for (_p, n, _l) in topo.switch_neighbors(s)})
         for s in switches
@@ -210,7 +204,7 @@ def _cmd_all(args) -> int:
     from repro.harness.persist import save_results
     from repro.harness.throughput import run_throughput
 
-    sizes = _sizes(args)
+    sizes = DEFAULT_SIZES if args.full else QUICK_SIZES
     results = {
         "fig7": run_fig7(sizes=sizes, iterations=args.iterations),
         "fig8": run_fig8(sizes=sizes, iterations=args.iterations),
@@ -482,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
                         " fattree:k=8, random-scaled:n=256,seed=3")
     p.add_argument("--root", type=int, default=-1,
                    help="spanning-tree root override (switch id)")
-    p.add_argument("--candidates", type=int, default=8,
+    p.add_argument("--candidates", type=non_negative_int, default=8,
                    help="root candidates to list in the stats view")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--text", action="store_true",
@@ -514,14 +508,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("all", help="regenerate figure results, optionally"
                                    " persisting to JSON")
     p.add_argument("--full", action="store_true")
-    p.add_argument("--iterations", type=int, default=20)
+    p.add_argument("--iterations", type=positive_int, default=20)
     p.add_argument("--throughput", action="store_true")
-    p.add_argument("--switches", type=int, default=16)
+    p.add_argument("--switches", type=switch_count, default=16)
     p.add_argument("--save", type=str, default="")
     p.set_defaults(func=_cmd_all)
 
     p = sub.add_parser("validate", help="measure and judge every paper claim")
-    p.add_argument("--iterations", type=int, default=20)
+    p.add_argument("--iterations", type=positive_int, default=20)
     p.add_argument("--throughput", action="store_true",
                    help="include the 64-switch EXP-M1 ratio (minutes)")
     p.set_defaults(func=_cmd_validate)

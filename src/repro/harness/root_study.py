@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.routing.itb import ItbRouter
-from repro.routing.minimal import MinimalRouter, switch_distances
+from repro.routing.minimal import MinimalRouter
 from repro.routing.spanning_tree import build_orientation, choose_root
 from repro.routing.updown import UpDownRouter
 from repro.topology.generators import random_irregular
@@ -33,7 +33,7 @@ __all__ = ["RootStudyResult", "RootStudyRow", "measure_root_point",
 def worst_root(topo: Topology) -> int:
     """The switch maximizing BFS eccentricity — the anti-optimal root."""
     def ecc(s: int) -> int:
-        return max(switch_distances(topo, s).values())
+        return max(topo.switch_distances(s).values())
 
     return max(topo.switches(), key=lambda s: (ecc(s), s))
 

@@ -53,7 +53,6 @@ from repro.core.timings import Timings
 from repro.harness.throughput import build_load_network
 from repro.harness.workloads import drive_traffic
 from repro.routing.itb import ItbRouter
-from repro.routing.minimal import switch_distances
 from repro.routing.spanning_tree import build_orientation
 from repro.routing.updown import UpDownRouter
 from repro.topology.generators import (clos, fat_tree,
@@ -223,7 +222,7 @@ def measure_scale_point(
     itb_host_load: Counter = Counter()
     for (s, d), route in pairs.items():
         hops = len(route.switch_hops())
-        min_hops = switch_distances(topo, topo.switch_of(s))[topo.switch_of(d)]
+        min_hops = topo.switch_distances(topo.switch_of(s))[topo.switch_of(d)]
         if hops == min_hops:
             minimal += 1
         stretch_sum += (hops + 1) / (min_hops + 1)
@@ -242,7 +241,7 @@ def measure_scale_point(
     saturation = (link_rate * (len(hosts) - 1) / max_load
                   if max_load > 0 else 0.0)
     diameter = max(
-        max(switch_distances(topo, s).values()) for s in topo.switches()
+        max(topo.switch_distances(s).values()) for s in topo.switches()
     )
 
     dynamic: Optional[ScaleDynamicPoint] = None

@@ -11,6 +11,9 @@ the first channel of the next.
 This module builds the CDG for a set of routes (plain or ITB) and
 checks acyclicity — used by tests to prove both that up*/down* and ITB
 routings are deadlock-free and that *unsplit* minimal routing is not.
+The graph is a plain adjacency dict (channel -> successor channels) and
+the cycle search an iterative depth-first walk, so the analysis needs
+no graph library.
 
 Virtual-channel lanes
 ---------------------
@@ -37,8 +40,6 @@ segment uses at each hop depends on the fabric's lane policy:
 from __future__ import annotations
 
 from typing import Iterable, Optional, Union
-
-import networkx as nx
 
 from repro.routing.routes import ItbRoute, SourceRoute
 from repro.topology.graph import Topology
@@ -118,10 +119,11 @@ def lanes_required(topo: Topology, routes: Iterable[RouteLike]) -> int:
 def channel_dependency_graph(
     topo: Topology, routes: Iterable[RouteLike],
     n_lanes: int = 1, lane_policy: str = "fixed",
-) -> "nx.DiGraph":
-    """Build the CDG: nodes are channels (lanes when ``n_lanes > 1``
-    under the escape policy), edges are held-while-requesting pairs
-    within a single segment.
+) -> dict[tuple, list[tuple]]:
+    """Build the CDG as ``channel -> successor channels``: nodes are
+    channels (lanes when ``n_lanes > 1`` under the escape policy),
+    edges are held-while-requesting pairs within a single segment.
+    Nodes and successors keep first-seen order; no edge repeats.
 
     Segment boundaries (in-transit hosts) contribute **no** edge — the
     formal statement of the ITB mechanism's deadlock-freedom argument.
@@ -132,7 +134,7 @@ def channel_dependency_graph(
     laned = n_lanes > 1 and lane_policy == "escape"
     if laned:
         from repro.network.lanes import escape_lane_walk
-    g = nx.DiGraph()
+    g: dict[tuple, list[tuple]] = {}
     for route in routes:
         for seg in iter_segments(route):
             chans: list = _segment_channels(topo, seg)
@@ -141,10 +143,41 @@ def channel_dependency_graph(
                 chans = [(link, direction, lane) for (link, direction), lane
                          in zip(chans, lanes)]
             for ch in chans:
-                g.add_node(ch)
+                g.setdefault(ch, [])
             for a, b in zip(chans, chans[1:]):
-                g.add_edge(a, b)
+                if b not in g[a]:
+                    g[a].append(b)
     return g
+
+
+def _find_cycle(g: dict[tuple, list[tuple]]) -> Optional[list[tuple]]:
+    """One directed cycle of ``g`` as its node sequence, or None.
+
+    Iterative white/grey/black depth-first search: all-pairs CDGs are
+    far deeper than the interpreter's recursion limit.
+    """
+    grey, black = 1, 2
+    colour: dict[tuple, int] = {}
+    for start in g:
+        if start in colour:
+            continue
+        colour[start] = grey
+        path = [start]
+        stack = [iter(g[start])]
+        while stack:
+            for nxt in stack[-1]:
+                state = colour.get(nxt)
+                if state is None:
+                    colour[nxt] = grey
+                    path.append(nxt)
+                    stack.append(iter(g[nxt]))
+                    break
+                if state == grey:  # back edge: the cycle closes at nxt
+                    return path[path.index(nxt):]
+            else:
+                colour[path.pop()] = black
+                stack.pop()
+    return None
 
 
 def find_dependency_cycle(
@@ -152,13 +185,8 @@ def find_dependency_cycle(
     n_lanes: int = 1, lane_policy: str = "fixed",
 ) -> Optional[list[Channel]]:
     """Return one dependency cycle, or None when the CDG is acyclic."""
-    g = channel_dependency_graph(topo, routes, n_lanes=n_lanes,
-                                 lane_policy=lane_policy)
-    try:
-        cycle_edges = nx.find_cycle(g, orientation="original")
-    except nx.NetworkXNoCycle:
-        return None
-    return [edge[0] for edge in cycle_edges]
+    return _find_cycle(channel_dependency_graph(
+        topo, routes, n_lanes=n_lanes, lane_policy=lane_policy))
 
 
 def is_deadlock_free(

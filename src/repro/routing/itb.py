@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from repro.routing.minimal import _switch_adjacency, all_shortest_switch_paths
+from repro.routing.minimal import all_shortest_switch_paths
 from repro.routing.routes import Direction, ItbRoute, RouteError, SourceRoute
 from repro.routing.spanning_tree import UpDownOrientation, build_orientation
 from repro.routing.updown import UpDownRouter
@@ -344,7 +344,7 @@ class ItbRouter:
         import heapq
 
         topo = self.topo
-        adj = _switch_adjacency(topo)
+        adj = topo.switch_adjacency()
         table = self.orientation.pair_direction_table(topo)
         inf = (1 << 30, 1 << 30)
         start = (s_src, 0)

@@ -2,49 +2,19 @@
 
 Used two ways: as the target the ITB router tries to legalize, and as
 an oracle in tests (ITB routes must match minimal length whenever an
-in-transit host is available at every violation point).
+in-transit host is available at every violation point).  Hop distances
+and the switch adjacency come from :class:`Topology` itself
+(:meth:`Topology.switch_distances`), the one BFS over the fabric.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterator, Optional
 
 from repro.routing.routes import ItbRoute, RouteError, SourceRoute
 from repro.topology.graph import Topology
 
 __all__ = ["MinimalRouter", "all_shortest_switch_paths"]
-
-
-def _switch_adjacency(topo: Topology) -> dict[int, list[int]]:
-    """Switch-to-switch adjacency, memoized on the topology.
-
-    Route computation asks for this once per host pair; the memo turns
-    the repeated rebuild into a dictionary hit.  Treat as immutable.
-    """
-    return topo.derived("switch_adjacency", lambda: {
-        s: sorted({n for (_p, n, _l) in topo.switch_neighbors(s)})
-        for s in topo.switches()
-    })
-
-
-def switch_distances(topo: Topology, src_switch: int) -> dict[int, int]:
-    """BFS hop distances over the switch fabric (memoized per source)."""
-    return topo.derived(("switch_distances", src_switch),
-                        lambda: _bfs_distances(topo, src_switch))
-
-
-def _bfs_distances(topo: Topology, src_switch: int) -> dict[int, int]:
-    adj = _switch_adjacency(topo)
-    dist = {src_switch: 0}
-    q = deque([src_switch])
-    while q:
-        u = q.popleft()
-        for v in adj[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                q.append(v)
-    return dist
 
 
 def all_shortest_switch_paths(
@@ -58,12 +28,12 @@ def all_shortest_switch_paths(
     if src_switch == dst_switch:
         yield [src_switch]
         return
-    adj = _switch_adjacency(topo)
+    adj = topo.switch_adjacency()
     if src_switch not in adj or dst_switch not in adj:
         raise RouteError("endpoints must be switches")
     # Distances *to* the destination let us walk only along shortest DAG
     # edges from the source.
-    dist_to_dst = switch_distances(topo, dst_switch)
+    dist_to_dst = topo.switch_distances(dst_switch)
     if src_switch not in dist_to_dst:
         raise RouteError(f"no path {src_switch} -> {dst_switch}")
 
@@ -144,7 +114,7 @@ class MinimalRouter:
         """Minimal number of switch traversals between two hosts."""
         s_src = self.topo.switch_of(src_host)
         s_dst = self.topo.switch_of(dst_host)
-        dist = switch_distances(self.topo, s_src)
+        dist = self.topo.switch_distances(s_src)
         if s_dst not in dist:
             raise RouteError(f"no path {src_host} -> {dst_host}")
         return dist[s_dst] + 1  # hops between switches + final switch

@@ -15,7 +15,6 @@ dependencies.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,8 +29,9 @@ class UpDownOrientation:
     """Orientation of every switch-to-switch link plus tree metadata."""
 
     root: int
+    # switch -> BFS tree depth (the topology's shared distance map from
+    # the root; treat as immutable)
     level: dict[int, int]
-    parent: dict[int, Optional[int]]
     # link_id -> switch id of the *up* end
     up_end: dict[int, int] = field(default_factory=dict)
     # (topology, direction table) built lazily by pair_direction_table();
@@ -135,20 +135,19 @@ def choose_root(topo: Topology) -> int:
     """Default root selection: the switch minimizing BFS eccentricity,
     ties broken by lowest id (a common Autonet/Myrinet mapper policy).
 
-    Distance maps come from the per-source memo shared with the minimal
-    router (``switch_distances``), so the all-pairs BFS cost is paid at
+    Distance maps come from the topology's per-source memo
+    (:meth:`Topology.switch_distances`, shared with the minimal router
+    and :func:`build_orientation`), so the all-pairs BFS cost is paid at
     most once per topology and only when an orientation or route is
     actually requested — building a topology alone stays O(V + E).
     """
-    from repro.routing.minimal import switch_distances
-
     switches = topo.switches()
     if not switches:
         raise RouteError("topology has no switches")
     n = len(switches)
 
     def eccentricity(src: int) -> int:
-        dist = switch_distances(topo, src)
+        dist = topo.switch_distances(src)
         if len(dist) != n:
             raise RouteError("switch fabric is not connected")
         return max(dist.values())
@@ -168,22 +167,14 @@ def build_orientation(
     elif root not in switches:
         raise RouteError(f"root {root} is not a switch")
 
-    level: dict[int, int] = {root: 0}
-    parent: dict[int, Optional[int]] = {root: None}
-    q = deque([root])
-    while q:
-        u = q.popleft()
-        # Deterministic order: by neighbor id.
-        for v in sorted({n for (_p, n, _l) in topo.switch_neighbors(u)}):
-            if v not in level:
-                level[v] = level[u] + 1
-                parent[v] = u
-                q.append(v)
+    # Tree levels are BFS hop distances from the root (neighbours
+    # visited by ascending id, so levels are deterministic).
+    level = topo.switch_distances(root)
     if len(level) != len(switches):
         missing = sorted(set(switches) - set(level))
         raise RouteError(f"switch fabric not connected; unreachable: {missing}")
 
-    orientation = UpDownOrientation(root=root, level=level, parent=parent)
+    orientation = UpDownOrientation(root=root, level=level)
     for link in topo.links:
         if not (topo.is_switch(link.node_a) and topo.is_switch(link.node_b)):
             continue

@@ -23,7 +23,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from repro.routing.minimal import _switch_adjacency
 from repro.routing.routes import Direction, ItbRoute, RouteError, SourceRoute
 from repro.routing.spanning_tree import UpDownOrientation, build_orientation
 from repro.topology.graph import Topology
@@ -87,7 +86,7 @@ class UpDownRouter:
         topo = self.topo
         if not topo.is_switch(src_switch):
             raise RouteError("switch_tree source must be a switch")
-        adj = _switch_adjacency(topo)
+        adj = topo.switch_adjacency()
         table = self.orientation.pair_direction_table(topo)
 
         start = (src_switch, _PHASE_UP)

@@ -10,11 +10,10 @@ number* for every hop, which this module resolves.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
-
-import networkx as nx
 
 __all__ = ["Link", "NodeKind", "PortKind", "Topology", "TopologyError"]
 
@@ -144,10 +143,10 @@ class Topology:
         and invalidates every cached entry.  Cached values are shared —
         callers must treat them as immutable.
 
-        Routing (adjacency, BFS distances) and the query helpers below
-        are called per host pair during route computation; memoizing
-        them turns the route-warm phase from quadratic re-derivation
-        into dictionary lookups.
+        The switch adjacency, the per-source BFS distances and the
+        query helpers below are called per host pair during route
+        computation; memoizing them turns the route-warm phase from
+        quadratic re-derivation into dictionary lookups.
         """
         # setdefault keeps instances deserialized from older pickles working.
         cache = self.__dict__.setdefault("_derived", {})
@@ -436,39 +435,57 @@ class Topology:
         return table
 
     # ------------------------------------------------------------------
-    # derived graphs / validation
+    # switch fabric graph / validation
     # ------------------------------------------------------------------
 
-    def switch_graph(self) -> "nx.MultiGraph":
-        """networkx MultiGraph over switches only (parallel links kept)."""
-        g = nx.MultiGraph()
-        g.add_nodes_from(self.switches())
-        for link in self._links:
-            if self.is_switch(link.node_a) and self.is_switch(link.node_b):
-                g.add_edge(link.node_a, link.node_b, key=link.link_id, link=link)
-        return g
+    def switch_adjacency(self) -> dict[int, list[int]]:
+        """Switch-to-switch adjacency: switch -> sorted distinct
+        neighbour switches (loopbacks excluded).
 
-    def full_graph(self) -> "nx.MultiGraph":
-        """networkx MultiGraph over all nodes."""
-        g = nx.MultiGraph()
-        g.add_nodes_from(range(self.n_nodes))
-        for link in self._links:
-            g.add_edge(link.node_a, link.node_b, key=link.link_id, link=link)
-        return g
+        Route computation asks for this once per host pair; the memo
+        turns the repeated rebuild into a dictionary hit.  Treat as
+        immutable.
+        """
+        return self.derived("switch_adjacency", lambda: {
+            s: sorted({n for (_p, n, _l) in self.switch_neighbors(s)})
+            for s in self.switches()
+        })
+
+    def switch_distances(self, src_switch: int) -> dict[int, int]:
+        """BFS hop distances over the switch fabric (memoized per source).
+
+        Keys appear in BFS order (neighbours visited by ascending id);
+        switches unreachable from ``src_switch`` are absent.  Treat as
+        immutable.
+        """
+        return self.derived(("switch_distances", src_switch),
+                            lambda: self._bfs_distances(src_switch))
+
+    def _bfs_distances(self, src_switch: int) -> dict[int, int]:
+        adj = self.switch_adjacency()
+        dist = {src_switch: 0}
+        q = deque([src_switch])
+        while q:
+            u = q.popleft()
+            for v in adj[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    q.append(v)
+        return dist
 
     def validate(self) -> None:
         """Raise :class:`TopologyError` on structural problems.
 
         Checks: every host cabled to exactly one switch; the switch
         fabric is connected; every host can reach every other host.
+        The connectivity BFS is not memoized, so validating a topology
+        leaves no per-source distance map behind.
         """
         for host in self.hosts():
             self.switch_of(host)  # raises when mis-cabled
         switches = self.switches()
-        if switches:
-            g = self.switch_graph()
-            if not nx.is_connected(nx.Graph(g)):
-                raise TopologyError("switch fabric is not connected")
+        if switches and len(self._bfs_distances(switches[0])) != len(switches):
+            raise TopologyError("switch fabric is not connected")
         if self.hosts() and not switches:
             raise TopologyError("hosts present but no switches")
 

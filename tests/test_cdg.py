@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import networkx as nx
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.routing.cdg import (
+    _find_cycle,
     channel_dependency_graph,
     find_dependency_cycle,
     is_deadlock_free,
@@ -127,8 +131,8 @@ class TestEscapeLanes:
         routes = cyclic_routes(topo, sw, hosts)
         g = channel_dependency_graph(topo, routes, n_lanes=2,
                                      lane_policy="escape")
-        assert all(len(node) == 3 for node in g.nodes)
-        assert {node[2] for node in g.nodes} == {0, 1}
+        assert all(len(node) == 3 for node in g)
+        assert {node[2] for node in g} == {0, 1}
 
     def test_static_policies_verify_on_collapsed_graph(self):
         """Fixed/round-robin assignments inherit the channel-level
@@ -161,8 +165,8 @@ class TestGraphStructure:
         route = router.route(hosts[0], hosts[1])
         g = channel_dependency_graph(topo, [route])
         # injection channel + fabric hops + delivery channel
-        assert g.number_of_nodes() == route.n_links
-        assert g.number_of_edges() == route.n_links - 1
+        assert len(g) == route.n_links
+        assert sum(len(v) for v in g.values()) == route.n_links - 1
 
     def test_opposite_directions_are_distinct_channels(self):
         topo, sw, hosts = ring_topology(3)
@@ -175,4 +179,47 @@ class TestGraphStructure:
         # The forward and reverse routes share the physical cable but
         # not channels: no node appears in both chains.
         link = topo.links_between(sw[0], sw[1])[0]
-        assert (link.link_id, 0) in g.nodes or (link.link_id, 1) in g.nodes
+        assert (link.link_id, 0) in g or (link.link_id, 1) in g
+
+
+def _digraphs(max_nodes: int = 8):
+    """Random small digraphs in the CDG's adjacency-dict shape (tuple
+    nodes, no duplicate edges; self-loops allowed)."""
+    def build(args):
+        n, edges = args
+        g = {(i,): [] for i in range(n)}
+        for a, b in edges:
+            if a < n and b < n and (b,) not in g[(a,)]:
+                g[(a,)].append((b,))
+        return g
+
+    edge = st.tuples(st.integers(0, max_nodes - 1),
+                     st.integers(0, max_nodes - 1))
+    return st.tuples(st.integers(1, max_nodes),
+                     st.lists(edge, max_size=3 * max_nodes)).map(build)
+
+
+class TestCycleSearchOracle:
+    """The dependency-free cycle search agrees with networkx."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_digraphs())
+    def test_agrees_with_networkx(self, g):
+        oracle = nx.DiGraph()
+        oracle.add_nodes_from(g)
+        oracle.add_edges_from((a, b) for a, succ in g.items() for b in succ)
+        cycle = _find_cycle(g)
+        assert (cycle is None) == nx.is_directed_acyclic_graph(oracle)
+        if cycle is not None:
+            # A closed walk over real edges, last node back to the first.
+            assert cycle
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                assert b in g[a]
+
+    def test_deep_chain_needs_no_recursion(self):
+        n = 50_000
+        chain = {(i,): [(i + 1,)] for i in range(n)}
+        chain[(n,)] = []
+        assert _find_cycle(chain) is None
+        chain[(n,)] = [(0,)]
+        assert len(_find_cycle(chain)) == n + 1

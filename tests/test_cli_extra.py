@@ -126,9 +126,14 @@ class TestRunCommand:
          "--hosts-per-switch", "0"],
         ["discover", "--topology", "random", "--switches", "1"],
         ["discover", "--topology", "random", "--hosts-per-switch", "0"],
+        ["all", "--iterations", "0"],
+        ["all", "--throughput", "--switches", "1"],
+        ["validate", "--iterations", "0"],
+        ["topo", "fig6", "--candidates", "-1"],
     ], ids=lambda argv: " ".join(argv))
     def test_non_positive_traffic_sizes_exit_2(self, argv, capsys):
-        if argv[0] not in ("obs", "trace", "discover"):
+        if argv[0] not in ("obs", "trace", "discover", "all", "validate",
+                           "topo"):
             argv = ["run", *argv]  # experiment subcommands
         with pytest.raises(SystemExit) as exc_info:
             main(argv)
@@ -136,7 +141,6 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("usage:")
         assert "must be >" in err
-
 
 class TestAllCommand:
     def test_all_regenerates_and_saves(self, capsys, tmp_path):

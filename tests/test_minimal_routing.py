@@ -7,11 +7,7 @@ import itertools
 import networkx as nx
 import pytest
 
-from repro.routing.minimal import (
-    MinimalRouter,
-    all_shortest_switch_paths,
-    switch_distances,
-)
+from repro.routing.minimal import MinimalRouter, all_shortest_switch_paths
 from repro.routing.routes import RouteError
 from repro.topology.generators import fig1_topology, mesh_2d, random_irregular
 
@@ -29,7 +25,7 @@ class TestSwitchDistances:
             for (_p, n, _l) in topo.switch_neighbors(s):
                 g.add_edge(s, n)
         for src in topo.switches():
-            ours = switch_distances(topo, src)
+            ours = topo.switch_distances(src)
             theirs = nx.single_source_shortest_path_length(g, src)
             assert ours == dict(theirs)
 

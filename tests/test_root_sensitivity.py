@@ -33,10 +33,8 @@ def _avg_hops(router_route, hosts):
 
 def _worst_root(topo):
     """The root maximizing BFS eccentricity — the anti-optimal choice."""
-    from repro.routing.minimal import switch_distances
-
     def ecc(s):
-        return max(switch_distances(topo, s).values())
+        return max(topo.switch_distances(s).values())
 
     return max(topo.switches(), key=lambda s: (ecc(s), s))
 

@@ -161,6 +161,10 @@ class TestTopoCli:
 
         assert main(["topo", "nope:n=3"]) == 2
         assert "unknown generator" in capsys.readouterr().err
+        assert main(["topo", "fig6", "--root", "99"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "repro topo: root 99 is not a switch\n"
 
     def test_experiment_registered(self):
         from repro.exp import list_experiments
