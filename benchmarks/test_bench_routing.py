@@ -3,9 +3,9 @@
 The scale-study tentpole: one phase-aware BFS tree per source switch
 replaces a BFS per host pair, and the ITB router legalizes from
 per-source Dijkstra trees instead of per-pair searches.  The per-pair
-code paths are preserved as oracles (``all_pairs_pairwise``), so the
-guard can assert both the speedup *and* bit-identical routes on every
-run — the batched trees are proven, not trusted.
+searches live in ``tests/routing_oracles.py``, so the guard can assert
+both the speedup *and* bit-identical routes on every run — the batched
+trees are proven, not trusted.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from repro.routing.itb import ItbRouter
 from repro.routing.spanning_tree import build_orientation
 from repro.routing.updown import UpDownRouter
 from repro.topology.generators import random_irregular_scaled
+from tests import routing_oracles
 
 #: The 128-switch irregular fabric of the scale study's middle rung.
 _N_SWITCHES = 128
@@ -42,7 +43,7 @@ def test_bench_allpairs_build(benchmark, bench_headline):
     fast = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    oracle = UpDownRouter(topo, orientation).all_pairs_pairwise()
+    oracle = routing_oracles.updown_all_pairs(UpDownRouter(topo, orientation))
     slow = time.perf_counter() - t0
 
     assert list(fast_routes) == list(oracle)  # same insertion order
@@ -83,7 +84,7 @@ def test_bench_itb_allpairs_build(benchmark, bench_headline):
     fast = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    oracle = ItbRouter(topo, orientation).all_pairs_pairwise()
+    oracle = routing_oracles.itb_all_pairs(ItbRouter(topo, orientation))
     slow = time.perf_counter() - t0
 
     assert list(fast_routes) == list(oracle)

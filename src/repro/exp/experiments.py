@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Optional, Sequence
 
-from repro.exp.registry import (CliOption, Experiment, positive_float,
-                                positive_int, probability,
+from repro.exp.registry import (CliOption, Experiment, non_negative_int,
+                                positive_float, positive_int, probability,
                                 register_experiment, switch_count)
 from repro.exp.spec import ExperimentSpec
+from repro.harness.faultcamp import SCHEDULES
 from repro.topology.graph import Topology
 
 __all__ = [
@@ -814,11 +815,11 @@ class FaultCampaignExperiment(Experiment):
                        default=[0.0, 0.02],
                        help="packet corruption probabilities to sweep"),
         CliOption.make("--schedules", nargs="+",
-                       default=["none", "campaign"],
+                       default=["none", "campaign"], choices=list(SCHEDULES),
                        help="named dynamic-fault schedules to sweep"),
-        CliOption.make("--messages", type=int, default=24,
+        CliOption.make("--messages", type=positive_int, default=24,
                        help="messages per direction per point"),
-        CliOption.make("--size", type=int, default=1024,
+        CliOption.make("--size", type=positive_int, default=1024,
                        help="message size (bytes)"),
         CliOption.make("--seed", type=int, default=13),
     )
@@ -913,19 +914,19 @@ class ScaleStudyExperiment(Experiment):
     """
 
     cli_options = (
-        CliOption.make("--targets", type=int, nargs="+",
+        CliOption.make("--targets", type=switch_count, nargs="+",
                        default=[16, 32, 64, 128, 256, 512],
                        help="switch-count rungs of the sweep"),
         CliOption.make("--families", nargs="+",
                        default=["clos", "fattree", "irregular"],
                        choices=["clos", "fattree", "irregular"]),
-        CliOption.make("--dynamic-max", type=int, default=64,
+        CliOption.make("--dynamic-max", type=non_negative_int, default=64,
                        help="largest rung that also gets a simulated"
                             " traffic point"),
-        CliOption.make("--rate", type=float, default=0.08,
+        CliOption.make("--rate", type=positive_float, default=0.08,
                        help="offered load of the dynamic point"
                             " (bytes/ns/host)"),
-        CliOption.make("--duration", type=float, default=120.0,
+        CliOption.make("--duration", type=positive_float, default=120.0,
                        help="dynamic measurement window (us)"),
         CliOption.make("--seed", type=int, default=11,
                        help="irregular-family topology seed"),

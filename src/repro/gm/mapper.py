@@ -325,6 +325,9 @@ class ItbReselector:
         self.runs += 1
         self.selector.begin_epoch()
         topo = self.net.topo
+        router = self._router
+        tables = topo.route_tables()
+        dirs = router.orientation.pair_direction_table(topo)
         changed = 0
         for src in sorted(self.net.nics):
             table = self.net.nics[src].route_table
@@ -335,10 +338,12 @@ class ItbReselector:
                 current = table.entries[dst]
                 if len(current.segments) <= 1:
                     continue
-                plan = self._router._pair_plan(s_src, topo.switch_of(dst))
+                plan = router._pair_plan(s_src, topo.switch_of(dst),
+                                         tables, dirs)
                 if plan is None or not plan[1]:
                     continue
-                route = self._router._build(src, dst, plan[0], plan[1])
+                route = router._build(src, dst, plan[0], plan[1],
+                                      tables, dirs)
                 if route == current:
                     continue
                 table.install(dst, route)

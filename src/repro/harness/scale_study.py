@@ -211,6 +211,8 @@ def measure_scale_point(
     route_s = time.perf_counter() - t0
 
     hosts = topo.hosts()
+    host_switch = topo.route_tables().host_switch
+    distances = {s: topo.switch_distances(s) for s in topo.switches()}
     root = orientation.root
     n_pairs = len(pairs)
     minimal = 0
@@ -221,8 +223,9 @@ def measure_scale_point(
     channel_load: Counter = Counter()
     itb_host_load: Counter = Counter()
     for (s, d), route in pairs.items():
-        hops = len(route.switch_hops())
-        min_hops = topo.switch_distances(topo.switch_of(s))[topo.switch_of(d)]
+        switch_hops = route.switch_hops()
+        hops = len(switch_hops)
+        min_hops = distances[host_switch[s]][host_switch[d]]
         if hops == min_hops:
             minimal += 1
         stretch_sum += (hops + 1) / (min_hops + 1)
@@ -232,7 +235,7 @@ def measure_scale_point(
             itb_pairs += 1
             total_itbs += route.n_itbs
             itb_host_load.update(route.itb_hosts)
-        channel_load.update(route.switch_hops())
+        channel_load.update(switch_hops)
 
     max_load = max(channel_load.values(), default=0)
     link_rate = 1.0 / (timings or Timings()).link_byte_ns
@@ -240,9 +243,7 @@ def measure_scale_point(
     # H*(H-1) flows; it fills when each host offers link_rate*(H-1)/max_load.
     saturation = (link_rate * (len(hosts) - 1) / max_load
                   if max_load > 0 else 0.0)
-    diameter = max(
-        max(topo.switch_distances(s).values()) for s in topo.switches()
-    )
+    diameter = max(max(dist.values()) for dist in distances.values())
 
     dynamic: Optional[ScaleDynamicPoint] = None
     if target <= dynamic_max:

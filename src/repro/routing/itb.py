@@ -21,17 +21,26 @@ path of any length.
 
 In-transit host selection within a switch is pluggable (policy
 callable), since the paper's follow-ups study load-aware placement.
+
+Construction is batched: switch-pair plans and per-source legalization
+trees are memoized, and :meth:`ItbRouter.routes_from` resolves the
+topology's flat :class:`~repro.topology.graph.RouteTables` and the
+orientation's direction table once per source for every destination.
+The per-pair searches the batched path must match byte for byte live
+in the test suite as oracles (``tests/routing_oracles.py``).
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Callable, Optional, Sequence
 
-from repro.routing.minimal import all_shortest_switch_paths
+from repro.routing.minimal import ShortestDag, dag_paths, shortest_dag
 from repro.routing.routes import Direction, ItbRoute, RouteError, SourceRoute
-from repro.routing.spanning_tree import UpDownOrientation, build_orientation
+from repro.routing.spanning_tree import (UpDownOrientation, build_orientation,
+                                         updown_violations)
 from repro.routing.updown import UpDownRouter
-from repro.topology.graph import Topology
+from repro.topology.graph import RouteTables, Topology
 
 __all__ = ["ItbRouter", "first_host_policy", "round_robin_policy"]
 
@@ -113,6 +122,8 @@ class ItbRouter:
                           Optional[tuple[list[int], list[int]]]] = {}
         # s_src -> (parent, goal) full legalization-Dijkstra tree.
         self._legal_trees: dict[int, tuple[dict, dict]] = {}
+        # s_dst -> shortest-path DAG toward it, resolved once per router.
+        self._dags: dict[int, ShortestDag] = {}
 
     # ------------------------------------------------------------------
     # path analysis
@@ -121,13 +132,6 @@ class ItbRouter:
     def split_points(self, switch_path: Sequence[int]) -> list[int]:
         """Indices of switches where the path must be split (violations)."""
         return self.orientation.violations(self.topo, list(switch_path))
-
-    def can_legalize(self, switch_path: Sequence[int]) -> bool:
-        """True when every violation switch carries at least one host."""
-        return all(
-            bool(self.topo.hosts_on(switch_path[i]))
-            for i in self.split_points(switch_path)
-        )
 
     # ------------------------------------------------------------------
     # routing
@@ -144,14 +148,21 @@ class ItbRouter:
         if src_host == dst_host:
             raise RouteError("source and destination host are the same")
         s_src, s_dst = topo.switch_of(src_host), topo.switch_of(dst_host)
-        plan = self._pair_plan(s_src, s_dst)
+        tables = topo.route_tables()
+        dirs = self.orientation.pair_direction_table(topo)
+        plan = self._pair_plan(s_src, s_dst, tables, dirs)
         if plan is not None:
-            return self._build(src_host, dst_host, plan[0], plan[1])
+            return self._build(src_host, dst_host, plan[0], plan[1],
+                               tables, dirs)
         # Last resort: the plain up*/down* route (always legal).
         return self._updown.itb_route(src_host, dst_host)
 
     def _pair_plan(
-        self, s_src: int, s_dst: int
+        self,
+        s_src: int,
+        s_dst: int,
+        tables: RouteTables,
+        dirs: dict[tuple[int, int], Direction],
     ) -> Optional[tuple[list[int], list[int]]]:
         """Memoized ``(switch_path, splits)`` plan for a switch pair.
 
@@ -162,12 +173,15 @@ class ItbRouter:
         key = (s_src, s_dst)
         if key in self._plans:
             return self._plans[key]
-        topo = self.topo
+        dag = self._dags.get(s_dst)
+        if dag is None:
+            dag = self._dags[s_dst] = shortest_dag(self.topo, s_dst)
+        host_switches = tables.host_switches
         best: Optional[tuple[int, list[int], list[int]]] = None  # (n_itb, path, splits)
-        for path in all_shortest_switch_paths(topo, s_src, s_dst,
-                                              limit=self.max_paths):
-            splits = self.split_points(path)
-            if not all(topo.hosts_on(path[i]) for i in splits):
+        for path in dag_paths(tables.adjacency, dag, s_src, s_dst,
+                              limit=self.max_paths):
+            splits = updown_violations(dirs, path)
+            if not all(path[i] in host_switches for i in splits):
                 continue
             if best is None or len(splits) < best[0]:
                 best = (len(splits), path, splits)
@@ -195,23 +209,28 @@ class ItbRouter:
 
         Shares the memoized pair plans and per-source legalization tree;
         host_policy is still invoked once per host pair, in destination
-        order, so stateful policies see the same call sequence as the
+        order, so stateful policies see the same call sequence as a
         per-pair loop.  ``strict=False`` skips unroutable destinations
         (fault-remap keep-stale semantics).
         """
         topo = self.topo
+        tables = topo.route_tables()
+        dirs = self.orientation.pair_direction_table(topo)
+        host_switch = tables.host_switch
         s_src = topo.switch_of(src_host)
         out: dict[int, ItbRoute] = {}
         for d in (topo.hosts() if dests is None else dests):
             if d == src_host:
                 continue
             try:
-                plan = self._pair_plan(s_src, topo.switch_of(d))
+                s_dst = host_switch.get(d)
+                if s_dst is None:
+                    s_dst = topo.switch_of(d)  # raises the precise error
+                plan = self._pair_plan(s_src, s_dst, tables, dirs)
                 if plan is not None:
-                    route = self._build(src_host, d, plan[0], plan[1])
+                    route = self._build(src_host, d, plan[0], plan[1],
+                                        tables, dirs)
                 else:
-                    # Warm the up*/down* tree so the fallback is batched too.
-                    self._updown.switch_tree(s_src)
                     route = self._updown.itb_route(src_host, d)
             except (RouteError, KeyError):
                 if strict:
@@ -223,9 +242,8 @@ class ItbRouter:
     def all_pairs(self) -> dict[tuple[int, int], ItbRoute]:
         """ITB routes for every ordered host pair (the mapper's job).
 
-        Batched over shared pair plans and per-source trees;
-        byte-identical to :meth:`all_pairs_pairwise` including the
-        host-policy call order.
+        Batched over shared pair plans and per-source trees, with the
+        host-policy call order of a per-pair loop.
         """
         hosts = self.topo.hosts()
         out: dict[tuple[int, int], ItbRoute] = {}
@@ -240,49 +258,6 @@ class ItbRouter:
         """Uniform batch interface shared by every router kind."""
         return self.all_pairs()
 
-    def all_pairs_pairwise(self) -> dict[tuple[int, int], ItbRoute]:
-        """Legacy per-pair construction — the preserved test oracle."""
-        hosts = self.topo.hosts()
-        return {
-            (s, d): self.itb_route_pairwise(s, d)
-            for s in hosts
-            for d in hosts
-            if s != d
-        }
-
-    def itb_route_pairwise(self, src_host: int, dst_host: int) -> ItbRoute:
-        """Per-pair ITB route with no shared state — the legacy path.
-
-        Re-runs path enumeration and the legalization search for every
-        pair (no plan memo, no source trees); used as the oracle that
-        the batched construction must match byte for byte.
-        """
-        topo = self.topo
-        if src_host == dst_host:
-            raise RouteError("source and destination host are the same")
-        s_src, s_dst = topo.switch_of(src_host), topo.switch_of(dst_host)
-
-        best: Optional[tuple[int, list[int], list[int]]] = None
-        for path in all_shortest_switch_paths(topo, s_src, s_dst,
-                                              limit=self.max_paths):
-            splits = self.split_points(path)
-            if not all(topo.hosts_on(path[i]) for i in splits):
-                continue
-            if best is None or len(splits) < best[0]:
-                best = (len(splits), path, splits)
-            if best[0] == 0:
-                break
-        if best is not None:
-            return self._build(src_host, dst_host, best[1], best[2])
-
-        if self.allow_longer:
-            found = self._shortest_legalizable_pairwise(s_src, s_dst)
-            if found is not None:
-                path, splits = found
-                return self._build(src_host, dst_host, path, splits)
-
-        return ItbRoute((self._updown.route_pairwise(src_host, dst_host),))
-
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
@@ -293,6 +268,8 @@ class ItbRouter:
         dst_host: int,
         switch_path: list[int],
         splits: list[int],
+        tables: RouteTables,
+        dirs: dict[tuple[int, int], Direction],
     ) -> ItbRoute:
         """Cut ``switch_path`` at the violation switches and emit segments."""
         topo = self.topo
@@ -309,16 +286,13 @@ class ItbRouter:
                 exit_host = self.host_policy(
                     topo, switch_path[cut], src_host, dst_host
                 )
-            ports = [topo.port_toward(a, b)
-                     for a, b in zip(sub_path, sub_path[1:])]
-            ports.append(topo.port_toward(sub_path[-1], exit_host))
             segment = SourceRoute(
                 src=seg_entry_host,
                 dst=exit_host,
-                ports=tuple(ports),
+                ports=topo.ports_along(tables.port, sub_path, exit_host),
                 switch_path=tuple(sub_path),
             )
-            if not self.orientation.is_valid_updown_path(topo, list(sub_path)):
+            if updown_violations(dirs, sub_path):
                 raise RouteError(
                     f"internal error: segment {sub_path} still invalid"
                 )
@@ -341,11 +315,9 @@ class ItbRouter:
         cached = self._legal_trees.get(s_src)
         if cached is not None:
             return cached
-        import heapq
-
         topo = self.topo
-        adj = topo.switch_adjacency()
-        table = self.orientation.pair_direction_table(topo)
+        host_switches = topo.route_tables().host_switches
+        graph = self.orientation.phase_graph(topo)
         inf = (1 << 30, 1 << 30)
         start = (s_src, 0)
         dist: dict[tuple[int, int], tuple[int, int]] = {start: (0, 0)}
@@ -359,20 +331,17 @@ class ItbRouter:
             u, phase = state
             if u not in goal:
                 goal[u] = state
-            if phase == 1 and topo.hosts_on(u):
+            if phase == 1 and u in host_switches:
                 nstate = (u, 0)
                 ncost = (hops, itbs + 1)
                 if ncost < dist.get(nstate, inf):
                     dist[nstate] = ncost
                     parent[nstate] = (state, True)
                     heapq.heappush(heap, (hops, itbs + 1, nstate))
-            for v in adj[u]:
-                d = table[(u, v)]
-                if phase == 1 and d is Direction.UP:
-                    continue
-                nphase = 1 if d is Direction.DOWN else phase
-                nstate = (v, nphase)
-                ncost = (hops + 1, itbs)
+            # Relaxation order within one pop cannot matter: every hop
+            # reaches a distinct state and the heap orders by full key.
+            ncost = (hops + 1, itbs)
+            for nstate in graph[state]:
                 if ncost < dist.get(nstate, inf):
                     dist[nstate] = ncost
                     parent[nstate] = (state, False)
@@ -392,73 +361,6 @@ class ItbRouter:
             return None
         start = (s_src, 0)
         rev_states: list[tuple[tuple[int, int], bool]] = []
-        while state != start:
-            prev, was_reset = parent[state]
-            rev_states.append((state, was_reset))
-            state = prev
-        path = [s_src]
-        splits: list[int] = []
-        for (st, was_reset) in reversed(rev_states):
-            if was_reset:
-                splits.append(len(path) - 1)
-            else:
-                path.append(st[0])
-        return path, splits
-
-    def _shortest_legalizable_pairwise(
-        self, s_src: int, s_dst: int
-    ) -> Optional[tuple[list[int], list[int]]]:
-        """BFS over (switch, direction-phase) with host-reset transitions.
-
-        State space: ``(switch, phase)`` where phase 0 = may still go
-        UP, 1 = DOWN taken.  At any switch with a host, the phase may
-        reset to 0 at the cost of one ITB; we search by (hops, itbs)
-        lexicographic cost with a Dijkstra-like expansion, giving the
-        shortest path legalizable with ITBs of any (possibly
-        super-minimal) length.  Preserved legacy per-pair search — the
-        oracle for the batched tree.
-        """
-        import heapq
-
-        topo, orient = self.topo, self.orientation
-        start = (s_src, 0)
-        # cost = (hops, itbs); parent map reconstructs path and splits
-        dist: dict[tuple[int, int], tuple[int, int]] = {start: (0, 0)}
-        parent: dict[tuple[int, int], tuple[tuple[int, int], bool]] = {}
-        heap: list[tuple[int, int, tuple[int, int]]] = [(0, 0, start)]
-        goal: Optional[tuple[int, int]] = None
-        while heap:
-            hops, itbs, state = heapq.heappop(heap)
-            if dist.get(state, (1 << 30, 1 << 30)) < (hops, itbs):
-                continue
-            u, phase = state
-            if u == s_dst:
-                goal = state
-                break
-            # ITB reset (no hop cost, +1 itb) when the switch has a host.
-            if phase == 1 and topo.hosts_on(u):
-                nstate = (u, 0)
-                ncost = (hops, itbs + 1)
-                if ncost < dist.get(nstate, (1 << 30, 1 << 30)):
-                    dist[nstate] = ncost
-                    parent[nstate] = (state, True)
-                    heapq.heappush(heap, (hops, itbs + 1, nstate))
-            for _port, v, link in topo.switch_neighbors(u):
-                d = orient.direction(link.link_id, u, v)
-                if phase == 1 and d is Direction.UP:
-                    continue
-                nphase = 1 if d is Direction.DOWN else phase
-                nstate = (v, nphase)
-                ncost = (hops + 1, itbs)
-                if ncost < dist.get(nstate, (1 << 30, 1 << 30)):
-                    dist[nstate] = ncost
-                    parent[nstate] = (state, False)
-                    heapq.heappush(heap, (hops + 1, itbs, nstate))
-        if goal is None:
-            return None
-        # Reconstruct switch path and split indices.
-        rev_states: list[tuple[tuple[int, int], bool]] = []
-        state = goal
         while state != start:
             prev, was_reset = parent[state]
             rev_states.append((state, was_reset))

@@ -14,7 +14,24 @@ from typing import Iterator, Optional
 from repro.routing.routes import ItbRoute, RouteError, SourceRoute
 from repro.topology.graph import Topology
 
-__all__ = ["MinimalRouter", "all_shortest_switch_paths"]
+__all__ = ["MinimalRouter", "all_shortest_switch_paths", "dag_paths",
+           "shortest_dag"]
+
+#: (distances to a destination switch, that destination's shortest-DAG
+#: children per switch, filled lazily by :func:`dag_paths`)
+ShortestDag = tuple[dict[int, int], dict[int, list[int]]]
+
+
+def shortest_dag(topo: Topology, dst_switch: int) -> ShortestDag:
+    """The shortest-path DAG toward ``dst_switch``, memoized per topology.
+
+    Every source enumerating paths toward ``dst_switch`` shares the
+    filtered child lists instead of rescanning the (possibly very wide)
+    adjacency per DFS node — the scale-study profile's top offender on
+    leaf-spine fabrics.
+    """
+    return topo.derived(("shortest_dag", dst_switch),
+                        lambda: (topo.switch_distances(dst_switch), {}))
 
 
 def all_shortest_switch_paths(
@@ -31,20 +48,28 @@ def all_shortest_switch_paths(
     adj = topo.switch_adjacency()
     if src_switch not in adj or dst_switch not in adj:
         raise RouteError("endpoints must be switches")
+    yield from dag_paths(adj, shortest_dag(topo, dst_switch),
+                         src_switch, dst_switch, limit)
+
+
+def dag_paths(
+    adj: dict[int, list[int]],
+    dag: ShortestDag,
+    src_switch: int,
+    dst_switch: int,
+    limit: Optional[int] = None,
+) -> Iterator[list[int]]:
+    """:func:`all_shortest_switch_paths` over tables the caller already
+    holds: the switch adjacency and :func:`shortest_dag` of
+    ``dst_switch``.  Batched routers resolve both once per batch."""
+    if src_switch == dst_switch:
+        yield [src_switch]
+        return
     # Distances *to* the destination let us walk only along shortest DAG
     # edges from the source.
-    dist_to_dst = topo.switch_distances(dst_switch)
+    dist_to_dst, children = dag
     if src_switch not in dist_to_dst:
         raise RouteError(f"no path {src_switch} -> {dst_switch}")
-
-    # Shortest-DAG children toward this destination, memoized lazily per
-    # visited switch: every source enumerating paths toward ``dst``
-    # shares the filtered lists instead of rescanning the (possibly very
-    # wide) adjacency per DFS node — the scale-study profile's top
-    # offender on leaf-spine fabrics.
-    children: dict[int, list[int]] = topo.derived(
-        ("shortest_dag_children", dst_switch), dict
-    )
 
     yielded = 0
     stack: list[tuple[int, list[int]]] = [(src_switch, [src_switch])]
@@ -102,12 +127,11 @@ class MinimalRouter:
             raise RouteError("source and destination host are the same")
         s_src, s_dst = topo.switch_of(src_host), topo.switch_of(dst_host)
         switch_path = self.switch_route(s_src, s_dst)
-        ports = [topo.port_toward(a, b)
-                 for a, b in zip(switch_path, switch_path[1:])]
-        ports.append(topo.port_toward(s_dst, dst_host))
         return SourceRoute(
             src=src_host, dst=dst_host,
-            ports=tuple(ports), switch_path=tuple(switch_path),
+            ports=topo.ports_along(topo.route_tables().port, switch_path,
+                                   dst_host),
+            switch_path=tuple(switch_path),
         )
 
     def distance(self, src_host: int, dst_host: int) -> int:
@@ -128,6 +152,7 @@ class MinimalRouter:
         """Routes from one host to every destination, sharing the
         per-switch-pair path memo across hosts on the same switch."""
         topo = self.topo
+        port_table = topo.route_tables().port
         s_src = topo.switch_of(src_host)
         paths: dict[int, list[int]] = {}
         out: dict[int, SourceRoute] = {}
@@ -140,16 +165,14 @@ class MinimalRouter:
                 if path is None:
                     path = self.switch_route(s_src, s_dst)
                     paths[s_dst] = path
-                ports = [topo.port_toward(a, b)
-                         for a, b in zip(path, path[1:])]
-                ports.append(topo.port_toward(s_dst, d))
+                ports = topo.ports_along(port_table, path, d)
             except (RouteError, KeyError):
                 if strict:
                     raise
                 continue
             out[d] = SourceRoute(
                 src=src_host, dst=d,
-                ports=tuple(ports), switch_path=tuple(path),
+                ports=ports, switch_path=tuple(path),
             )
         return out
 

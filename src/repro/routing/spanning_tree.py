@@ -21,7 +21,30 @@ from typing import Optional
 from repro.routing.routes import Direction, RouteError
 from repro.topology.graph import Topology
 
-__all__ = ["UpDownOrientation", "build_orientation"]
+__all__ = ["UpDownOrientation", "build_orientation", "updown_violations"]
+
+
+def updown_violations(
+    table: dict[tuple[int, int], Direction],
+    switch_path: list[int] | tuple[int, ...],
+) -> list[int]:
+    """Indices (into ``switch_path``) of the switches where a forbidden
+    down->up transition occurs, in one pass over a direction table
+    (:meth:`UpDownOrientation.pair_direction_table`)."""
+    out = []
+    down = False
+    for i, hop in enumerate(zip(switch_path, switch_path[1:])):
+        d = table.get(hop)
+        if d is None:
+            raise RouteError(
+                f"switch path broken between {hop[0]} and {hop[1]}")
+        if d is Direction.UP:
+            if down:
+                out.append(i)  # the violation happens AT switch_path[i]
+            down = False
+        else:
+            down = True
+    return out
 
 
 @dataclass
@@ -34,10 +57,13 @@ class UpDownOrientation:
     level: dict[int, int]
     # link_id -> switch id of the *up* end
     up_end: dict[int, int] = field(default_factory=dict)
-    # (topology, direction table) built lazily by pair_direction_table();
-    # excluded from equality so orientations still compare by structure.
+    # (topology, table) caches built lazily by pair_direction_table()
+    # and phase_graph(); excluded from equality so orientations still
+    # compare by structure.
     _dir_cache: Optional[tuple] = field(default=None, repr=False,
                                         compare=False, init=False)
+    _phase_cache: Optional[tuple] = field(default=None, repr=False,
+                                          compare=False, init=False)
 
     def direction(self, link_id: int, from_switch: int, to_switch: int) -> Direction:
         """Direction of traversing ``link_id`` from ``from_switch``.
@@ -89,46 +115,45 @@ class UpDownOrientation:
         self._dir_cache = (topo, table)
         return table
 
-    def path_directions(
-        self, topo: Topology, switch_path: list[int] | tuple[int, ...]
-    ) -> list[Direction]:
-        """Directions of each switch-to-switch hop along a switch path.
+    def phase_graph(
+        self, topo: Topology
+    ) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+        """Legal up*/down* hops as a graph over ``(switch, phase)`` states.
 
-        Parallel links between the same pair always orient identically
-        (the rule depends only on endpoint levels/ids), so the lowest-id
-        link is representative.
+        Phase 0 may still go UP; phase 1 has taken a DOWN hop, so only
+        DOWN hops remain.  Each state maps to its successor states in
+        the routers' tie-break order: UP hops first, then by neighbour
+        id.  Built once per (orientation, topology), like
+        :meth:`pair_direction_table`, so route searches read one tuple
+        per expanded state.
         """
+        cached = self._phase_cache
+        if cached is not None and cached[0] is topo:
+            return cached[1]
         table = self.pair_direction_table(topo)
-        dirs: list[Direction] = []
-        for a, b in zip(switch_path, switch_path[1:]):
-            d = table.get((a, b))
-            if d is None:
-                raise RouteError(f"switch path broken between {a} and {b}")
-            dirs.append(d)
-        return dirs
+        graph: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+        for u, nbrs in topo.switch_adjacency().items():
+            ups = tuple((v, 0) for v in nbrs if table[(u, v)] is Direction.UP)
+            downs = tuple((v, 1) for v in nbrs
+                          if table[(u, v)] is Direction.DOWN)
+            graph[(u, 0)] = ups + downs
+            graph[(u, 1)] = downs
+        self._phase_cache = (topo, graph)
+        return graph
 
     def is_valid_updown_path(
         self, topo: Topology, switch_path: list[int] | tuple[int, ...]
     ) -> bool:
         """True when a switch path never turns UP after a DOWN hop."""
-        prev: Optional[Direction] = None
-        for d in self.path_directions(topo, switch_path):
-            if not self.is_valid_transition(prev, d):
-                return False
-            prev = d
-        return True
+        return not self.violations(topo, switch_path)
 
     def violations(
         self, topo: Topology, switch_path: list[int] | tuple[int, ...]
     ) -> list[int]:
         """Indices (into ``switch_path``) of switches where a forbidden
         down->up transition occurs."""
-        dirs = self.path_directions(topo, switch_path)
-        out = []
-        for i in range(1, len(dirs)):
-            if dirs[i - 1] is Direction.DOWN and dirs[i] is Direction.UP:
-                out.append(i)  # the violation happens AT switch_path[i]
-        return out
+        return updown_violations(self.pair_direction_table(topo),
+                                 switch_path)
 
 
 def choose_root(topo: Topology) -> int:

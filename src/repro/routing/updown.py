@@ -8,41 +8,33 @@ Myrinet mapper computes, and the baseline the paper compares against.
 
 Route construction is batch-first: :meth:`UpDownRouter.switch_tree`
 runs ONE full phase-aware BFS per source switch and records, for every
-destination, the first state enqueued at that switch plus the BFS
-predecessor pointers.  Because the full traversal enqueues states in
-exactly the same order as the per-pair early-exit BFS (``seen`` and
-``prev`` are write-once, and the early exit only truncates a shared
-prefix), reconstructing a path from the tree is byte-identical to the
-per-pair search — kept verbatim as :meth:`switch_route_pairwise`, the
-oracle the benchmark gate compares against.  All-pairs construction
-drops from O(H²·E) to O(V·E).
+destination, the switch path that first enqueued a state at that
+switch.  Because the full traversal enqueues states in exactly the
+same order as a per-pair early-exit BFS (the seen set is write-once,
+and the early exit only truncates a shared prefix), the tree's path is
+byte-identical to the per-pair search, which the test suite keeps as
+its oracle (``tests/routing_oracles.py``).  All-pairs construction
+drops from O(H²·E) to O(V·E), and :meth:`UpDownRouter.routes_from`
+reads the topology's flat :class:`~repro.topology.graph.RouteTables`
+once per source for every destination's port bytes and deliverability
+walk.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
+from typing import Optional, Sequence
 
-from repro.routing.routes import Direction, ItbRoute, RouteError, SourceRoute
+from repro.routing.routes import ItbRoute, RouteError, SourceRoute
 from repro.routing.spanning_tree import UpDownOrientation, build_orientation
-from repro.topology.graph import Topology
+from repro.topology.graph import RouteTables, Topology
 
 __all__ = ["UpDownRouter"]
 
-_PHASE_UP = 0   # still allowed to take UP hops
-_PHASE_DOWN = 1  # a DOWN hop was taken; only DOWN hops remain legal
+_PHASE_UP = 0  # still allowed to take UP hops (UpDownOrientation.phase_graph)
 
-class _SourceTree:
-    """Per-source BFS tree: predecessor pointers plus, for every
-    reachable switch, the first ``(switch, phase)`` state the BFS
-    enqueued there (= the goal state the per-pair search would stop at).
-    """
-
-    __slots__ = ("prev", "goal")
-
-    def __init__(self, prev: dict, goal: dict) -> None:
-        self.prev = prev
-        self.goal = goal
+#: A per-source BFS tree: every reachable switch -> its switch path.
+SwitchTree = dict[int, tuple[int, ...]]
 
 
 class UpDownRouter:
@@ -64,21 +56,22 @@ class UpDownRouter:
     ) -> None:
         self.topo = topo
         self.orientation = orientation or build_orientation(topo)
-        # src_switch -> _SourceTree; valid as long as the topology and
+        # src_switch -> SwitchTree; valid as long as the topology and
         # orientation are unchanged (routers are rebuilt on mutation).
-        self._trees: dict[int, _SourceTree] = {}
+        self._trees: dict[int, SwitchTree] = {}
 
     # ------------------------------------------------------------------
     # Batched per-source construction (the hot path)
 
-    def switch_tree(self, src_switch: int) -> _SourceTree:
-        """Full phase-aware BFS from ``src_switch``, memoized.
+    def switch_tree(self, src_switch: int) -> SwitchTree:
+        """Full phase-aware BFS from ``src_switch``, memoized: the
+        shortest valid up*/down* switch path to every reachable switch.
 
         One O(E) traversal serves every destination: the expansion order
-        is identical to :meth:`switch_route_pairwise` (same neighbor
-        sort, same seen-at-enqueue rule), so the first state enqueued at
-        each switch is exactly the goal state the per-pair search would
-        return, and the predecessor chain above it is the same prefix.
+        is identical to a per-pair early-exit BFS (same neighbor sort,
+        same seen-at-enqueue rule), so the first state enqueued at each
+        switch is exactly the goal state the per-pair search would
+        return, and the path the BFS carried to it is the same prefix.
         """
         tree = self._trees.get(src_switch)
         if tree is not None:
@@ -86,55 +79,40 @@ class UpDownRouter:
         topo = self.topo
         if not topo.is_switch(src_switch):
             raise RouteError("switch_tree source must be a switch")
-        adj = topo.switch_adjacency()
-        table = self.orientation.pair_direction_table(topo)
+        graph = self.orientation.phase_graph(topo)
 
         start = (src_switch, _PHASE_UP)
-        prev: dict[tuple[int, int], tuple[int, int]] = {}
-        seen = {start}
-        goal: dict[int, tuple[int, int]] = {src_switch: start}
+        # state -> the switch path that first enqueued it (write-once).
+        reach: dict[tuple[int, int], tuple[int, ...]] = {
+            start: (src_switch,)}
+        tree = {src_switch: (src_switch,)}
         q = deque([start])
         while q:
             state = q.popleft()
-            u, phase = state
-            steps = []
-            for v in adj[u]:
-                d = table[(u, v)]
-                if phase == _PHASE_DOWN and d is Direction.UP:
+            here = reach[state]
+            # Successors come UP hops first, then by neighbor id:
+            # the deterministic tie-break.
+            for nstate in graph[state]:
+                if nstate in reach:
                     continue
-                nxt_phase = _PHASE_DOWN if d is Direction.DOWN else phase
-                steps.append((d is Direction.DOWN, v, nxt_phase))
-            # UP hops first, then by neighbor id: deterministic tie-break.
-            for _down, v, nxt_phase in sorted(steps):
-                nstate = (v, nxt_phase)
-                if nstate in seen:
-                    continue
-                seen.add(nstate)
-                prev[nstate] = state
-                if v not in goal:
-                    goal[v] = nstate
+                v = nstate[0]
+                path = reach[nstate] = here + (v,)
+                if v not in tree:
+                    tree[v] = path
                 q.append(nstate)
 
-        tree = _SourceTree(prev, goal)
         self._trees[src_switch] = tree
         return tree
 
-    def _path_from_tree(
-        self, tree: _SourceTree, src_switch: int, dst_switch: int
-    ) -> list[int]:
-        if src_switch == dst_switch:
-            return [src_switch]
-        state = tree.goal.get(dst_switch)
-        if state is None:
+    @staticmethod
+    def _tree_path(
+        tree: SwitchTree, src_switch: int, dst_switch: int
+    ) -> tuple[int, ...]:
+        path = tree.get(dst_switch)
+        if path is None:
             raise RouteError(
                 f"no valid up*/down* path {src_switch} -> {dst_switch}"
             )
-        start = (src_switch, _PHASE_UP)
-        path = [state[0]]
-        while state != start:
-            state = tree.prev[state]
-            path.append(state[0])
-        path.reverse()
         return path
 
     def routes_from(
@@ -149,20 +127,21 @@ class UpDownRouter:
         skipped (the keep-stale semantics fault remap relies on).
         """
         topo = self.topo
+        tables = topo.route_tables()
+        host_switch = tables.host_switch
         s_src = topo.switch_of(src_host)
         tree = self.switch_tree(s_src)
-        paths: dict[int, list[int]] = {}
         out: dict[int, SourceRoute] = {}
         for d in (topo.hosts() if dests is None else dests):
             if d == src_host:
                 continue
             try:
-                s_dst = topo.switch_of(d)
-                path = paths.get(s_dst)
-                if path is None:
-                    path = self._path_from_tree(tree, s_src, s_dst)
-                    paths[s_dst] = path
-                out[d] = self.route_via(src_host, d, path)
+                s_dst = host_switch.get(d)
+                if s_dst is None:
+                    s_dst = topo.switch_of(d)  # raises the precise error
+                path = self._tree_path(tree, s_src, s_dst)
+                out[d] = self._source_route(src_host, d, s_src, s_dst,
+                                            path, tables)
             except (RouteError, KeyError):
                 if strict:
                     raise
@@ -172,67 +151,18 @@ class UpDownRouter:
     # ------------------------------------------------------------------
 
     def switch_route(self, src_switch: int, dst_switch: int) -> list[int]:
-        """Shortest valid up*/down* switch path (inclusive endpoints).
-
-        Served from a memoized per-source tree when one is already warm;
-        otherwise a per-pair early-exit BFS (identical result).
-        """
-        tree = self._trees.get(src_switch)
-        if tree is not None:
-            return self._path_from_tree(tree, src_switch, dst_switch)
-        return self.switch_route_pairwise(src_switch, dst_switch)
-
-    def switch_route_pairwise(self, src_switch: int, dst_switch: int) -> list[int]:
-        """Per-pair early-exit BFS — the preserved legacy oracle.
+        """Shortest valid up*/down* switch path (inclusive endpoints),
+        served from the memoized per-source tree.
 
         Deterministic: among equal-length candidates, BFS explores
         neighbors in ascending id order, preferring UP hops first (the
         classical mapper bias toward climbing early).
         """
-        topo, orient = self.topo, self.orientation
+        topo = self.topo
         if not topo.is_switch(src_switch) or not topo.is_switch(dst_switch):
             raise RouteError("switch_route endpoints must be switches")
-        if src_switch == dst_switch:
-            return [src_switch]
-
-        start = (src_switch, _PHASE_UP)
-        prev: dict[tuple[int, int], tuple[int, int]] = {}
-        seen = {start}
-        q = deque([start])
-        goal: Optional[tuple[int, int]] = None
-        while q and goal is None:
-            state = q.popleft()
-            u, phase = state
-            steps = []
-            for _port, v, link in topo.switch_neighbors(u):
-                d = orient.direction(link.link_id, u, v)
-                if phase == _PHASE_DOWN and d is Direction.UP:
-                    continue
-                nxt_phase = _PHASE_DOWN if d is Direction.DOWN else phase
-                steps.append((d is Direction.DOWN, v, nxt_phase))
-            # UP hops first, then by neighbor id: deterministic tie-break.
-            for _down, v, nxt_phase in sorted(steps):
-                nstate = (v, nxt_phase)
-                if nstate in seen:
-                    continue
-                seen.add(nstate)
-                prev[nstate] = state
-                if v == dst_switch:
-                    goal = nstate
-                    break
-                q.append(nstate)
-
-        if goal is None:
-            raise RouteError(
-                f"no valid up*/down* path {src_switch} -> {dst_switch}"
-            )
-        path = [goal[0]]
-        state = goal
-        while state != start:
-            state = prev[state]
-            path.append(state[0])
-        path.reverse()
-        return path
+        return list(self._tree_path(self.switch_tree(src_switch),
+                                    src_switch, dst_switch))
 
     def route(self, src_host: int, dst_host: int) -> SourceRoute:
         """Source route between two hosts."""
@@ -242,7 +172,7 @@ class UpDownRouter:
         self,
         src_host: int,
         dst_host: int,
-        switch_path: Optional[list[int]],
+        switch_path: Optional[Sequence[int]],
     ) -> SourceRoute:
         """Build a :class:`SourceRoute` along an explicit or computed
         switch path, emitting one output-port byte per switch."""
@@ -253,22 +183,8 @@ class UpDownRouter:
         s_dst = topo.switch_of(dst_host)
         if switch_path is None:
             switch_path = self.switch_route(s_src, s_dst)
-        if switch_path[0] != s_src or switch_path[-1] != s_dst:
-            raise RouteError("switch_path endpoints do not match hosts")
-
-        ports: list[int] = []
-        for a, b in zip(switch_path, switch_path[1:]):
-            ports.append(topo.port_toward(a, b))
-        # Last byte: exit port of the destination switch toward the host.
-        ports.append(topo.port_toward(s_dst, dst_host))
-        route = SourceRoute(
-            src=src_host,
-            dst=dst_host,
-            ports=tuple(ports),
-            switch_path=tuple(switch_path),
-        )
-        self._check_deliverable(route)
-        return route
+        return self._source_route(src_host, dst_host, s_src, s_dst,
+                                  switch_path, topo.route_tables())
 
     def itb_route(self, src_host: int, dst_host: int) -> ItbRoute:
         """Uniform interface with :class:`ItbRouter`: a single segment."""
@@ -276,8 +192,34 @@ class UpDownRouter:
 
     # ------------------------------------------------------------------
 
-    def _check_deliverable(self, route: SourceRoute) -> None:
-        reached = self.topo.walk_route(route.src, list(route.ports))
+    def _source_route(
+        self,
+        src_host: int,
+        dst_host: int,
+        s_src: int,
+        s_dst: int,
+        switch_path: Sequence[int],
+        tables: RouteTables,
+    ) -> SourceRoute:
+        """Emit one output-port byte per switch along ``switch_path``
+        (the last one exits toward ``dst_host``) and check that the
+        bytes deliver there."""
+        if switch_path[0] != s_src or switch_path[-1] != s_dst:
+            raise RouteError("switch_path endpoints do not match hosts")
+        route = SourceRoute(
+            src=src_host,
+            dst=dst_host,
+            ports=self.topo.ports_along(tables.port, switch_path, dst_host),
+            switch_path=tuple(switch_path),
+        )
+        self._check_deliverable(route, s_src, tables)
+        return route
+
+    def _check_deliverable(
+        self, route: SourceRoute, s_src: int, tables: RouteTables
+    ) -> None:
+        """Walk the route bytes from the source host's switch."""
+        reached = self.topo.walk_hops(tables.hop, s_src, route.ports)
         if reached != route.dst:
             raise RouteError(
                 f"route bytes deliver to node {reached}, expected {route.dst}"
@@ -293,7 +235,7 @@ class UpDownRouter:
         """Routes for every ordered host pair (the mapper's job).
 
         Batched: one BFS tree per source switch, shared across every
-        destination.  Byte-identical to :meth:`all_pairs_pairwise`.
+        destination.
         """
         hosts = self.topo.hosts()
         out: dict[tuple[int, int], SourceRoute] = {}
@@ -303,25 +245,6 @@ class UpDownRouter:
                 if s != d:
                     out[(s, d)] = routes[d]
         return out
-
-    def all_pairs_pairwise(self) -> dict[tuple[int, int], SourceRoute]:
-        """Legacy per-pair construction — the preserved benchmark oracle."""
-        hosts = self.topo.hosts()
-        out: dict[tuple[int, int], SourceRoute] = {}
-        for s in hosts:
-            for d in hosts:
-                if s != d:
-                    out[(s, d)] = self.route_pairwise(s, d)
-        return out
-
-    def route_pairwise(self, src_host: int, dst_host: int) -> SourceRoute:
-        """Source route built with the per-pair BFS oracle."""
-        topo = self.topo
-        s_src = topo.switch_of(src_host)
-        s_dst = topo.switch_of(dst_host)
-        return self.route_via(
-            src_host, dst_host, self.switch_route_pairwise(s_src, s_dst)
-        )
 
     def itb_all_pairs(self) -> dict[tuple[int, int], ItbRoute]:
         """Batched all-pairs in the single-segment ITB wrapper."""

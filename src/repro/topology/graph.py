@@ -10,12 +10,14 @@ number* for every hop, which this module resolves.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
-__all__ = ["Link", "NodeKind", "PortKind", "Topology", "TopologyError"]
+__all__ = ["Link", "NodeKind", "PortKind", "RouteTables", "Topology",
+           "TopologyError"]
 
 
 class TopologyError(ValueError):
@@ -120,6 +122,29 @@ class _Node:
     n_ports: int
     # port number -> link_id
     ports: dict[int, int] = field(default_factory=dict)
+    # hosts cabled to this node, ascending (kept sorted by connect())
+    hosts: list[int] = field(default_factory=list)
+
+
+class RouteTables(NamedTuple):
+    """Flat lookup tables for source-route construction.
+
+    Batched route construction fetches these once per source and reads
+    them for every destination, instead of re-entering the per-query
+    helpers once per host pair.  Shared and memoized — treat as
+    immutable.
+    """
+
+    #: host -> the switch its NIC is cabled to (cabled hosts only)
+    host_switch: dict[int, int]
+    #: (node, node) -> output port of the lowest-id non-loopback cable
+    port: dict[tuple[int, int], int]
+    #: (switch, port) -> node at the far end of that cable
+    hop: dict[tuple[int, int], int]
+    #: switches with at least one attached host (in-transit candidates)
+    host_switches: frozenset[int]
+    #: switch -> sorted distinct neighbour switches, loopbacks excluded
+    adjacency: dict[int, list[int]]
 
 
 class Topology:
@@ -143,10 +168,10 @@ class Topology:
         and invalidates every cached entry.  Cached values are shared —
         callers must treat them as immutable.
 
-        The switch adjacency, the per-source BFS distances and the
-        query helpers below are called per host pair during route
-        computation; memoizing them turns the route-warm phase from
-        quadratic re-derivation into dictionary lookups.
+        Route construction reads the memoized switch adjacency, BFS
+        distances and :meth:`route_tables` once per source (or once per
+        batch) and reuses them for every destination, so the number of
+        lookups here grows with the switch count, not with host pairs.
         """
         # setdefault keeps instances deserialized from older pickles working.
         cache = self.__dict__.setdefault("_derived", {})
@@ -207,6 +232,10 @@ class Topology:
         self._links.append(link)
         na.ports[port_a] = link_id
         nb.ports[port_b] = link_id
+        if nb.kind is NodeKind.HOST:
+            insort(na.hosts, node_b)
+        if na.kind is NodeKind.HOST:
+            insort(nb.hosts, node_a)
         return link_id
 
     def attach_host(
@@ -353,11 +382,11 @@ class Topology:
     def hosts_on(self, switch: int) -> list[int]:
         """Hosts directly attached to ``switch`` (sorted by id).
 
-        Memoized — treat the returned list as immutable.
+        Kept up to date by :meth:`connect`, so in-transit host policies
+        can ask once per route without a memo lookup.  Shared — treat
+        the returned list as immutable.
         """
-        return self.derived(("hosts_on", switch), lambda: sorted(
-            n for (_p, n, _l) in self.neighbors(switch) if self.is_host(n)
-        ))
+        return self._node(switch).hosts
 
     def switch_of(self, host: int) -> int:
         """The switch a host's NIC is cabled to."""
@@ -399,15 +428,8 @@ class Topology:
         return index
 
     def port_toward(self, node_a: int, node_b: int) -> int:
-        """Output port on ``node_a`` of the lowest-id link to ``node_b``.
-
-        Served from a flat memoized ``(from, to) -> port`` table: route
-        construction calls this once per hop of every route, and the
-        per-call list lookup through :meth:`links_between` dominated
-        batched all-pairs builds on large fabrics.
-        """
-        table = self.derived("port_toward", self._build_port_table)
-        port = table.get((node_a, node_b))
+        """Output port on ``node_a`` of the lowest-id link to ``node_b``."""
+        port = self.route_tables().port.get((node_a, node_b))
         if port is None:
             links = self.links_between(node_a, node_b)
             if links:
@@ -420,19 +442,65 @@ class Topology:
             )
         return port
 
-    def _build_port_table(self) -> dict[tuple[int, int], int]:
+    def ports_along(
+        self,
+        port_table: dict[tuple[int, int], int],
+        switch_path: Sequence[int],
+        exit_node: int,
+    ) -> tuple[int, ...]:
+        """Route bytes along ``switch_path``, then out toward ``exit_node``.
+
+        ``port_table`` is :attr:`RouteTables.port`, fetched once by the
+        caller.  A hop missing from it raises the :meth:`port_toward`
+        error for that hop.
+        """
+        try:
+            ports = [port_table[hop]
+                     for hop in zip(switch_path, switch_path[1:])]
+            ports.append(port_table[(switch_path[-1], exit_node)])
+        except KeyError:
+            for a, b in zip(switch_path, switch_path[1:]):
+                self.port_toward(a, b)
+            self.port_toward(switch_path[-1], exit_node)
+            raise
+        return tuple(ports)
+
+    def route_tables(self) -> RouteTables:
+        """The memoized flat tables route construction reads."""
+        return self.derived("route_tables", self._build_route_tables)
+
+    def _build_route_tables(self) -> RouteTables:
+        host_switch: dict[int, int] = {}
+        port: dict[tuple[int, int], int] = {}
+        hop: dict[tuple[int, int], int] = {}
+        switch = NodeKind.SWITCH
         # Links iterate in ascending id order, so setdefault keeps the
         # lowest-id cable of every parallel bundle — same pick as
-        # links_between(...)[0].  Loopbacks are skipped (their port is
-        # ambiguous; port_at raises for them, preserved above).
-        table: dict[tuple[int, int], int] = {}
+        # links_between(...)[0].  Loopbacks stay out of the port table
+        # (their port is ambiguous; port_toward raises for them).
         for link in self._links:
+            (na, pa), (nb, pb) = link.endpoints()
+            a_switch = self._nodes[na].kind is switch
+            b_switch = self._nodes[nb].kind is switch
+            if a_switch:
+                hop[(na, pa)] = nb
+            if b_switch:
+                hop[(nb, pb)] = na
             if link.is_loop:
                 continue
-            (na, pa), (nb, pb) = link.endpoints()
-            table.setdefault((na, nb), pa)
-            table.setdefault((nb, na), pb)
-        return table
+            port.setdefault((na, nb), pa)
+            port.setdefault((nb, na), pb)
+            if b_switch and not a_switch and pa == 0:
+                host_switch[na] = nb
+            if a_switch and not b_switch and pb == 0:
+                host_switch[nb] = na
+        return RouteTables(
+            host_switch=host_switch,
+            port=port,
+            hop=hop,
+            host_switches=frozenset(host_switch.values()),
+            adjacency=self.switch_adjacency(),
+        )
 
     # ------------------------------------------------------------------
     # switch fabric graph / validation
@@ -489,7 +557,7 @@ class Topology:
         if self.hosts() and not switches:
             raise TopologyError("hosts present but no switches")
 
-    def walk_route(self, src_host: int, routing_ports: list[int]) -> int:
+    def walk_route(self, src_host: int, routing_ports: Sequence[int]) -> int:
         """Follow a Myrinet source route from ``src_host``.
 
         ``routing_ports`` holds one output-port byte per switch
@@ -497,22 +565,37 @@ class Topology:
         (which must be a host for a deliverable route).  Raises on a
         dangling port or a byte sequence that leaves the fabric early.
         """
-        link = self.host_link(src_host)
-        current, _port = link.far_end(src_host, 0)
+        tables = self.route_tables()
+        start = tables.host_switch.get(src_host)
+        if start is None:
+            start, _port = self.host_link(src_host).far_end(src_host, 0)
+        return self.walk_hops(tables.hop, start, routing_ports)
+
+    def walk_hops(
+        self,
+        hop_table: dict[tuple[int, int], int],
+        node: int,
+        routing_ports: Sequence[int],
+    ) -> int:
+        """Consume route bytes from ``node`` over :attr:`RouteTables.hop`.
+
+        The walk behind :meth:`walk_route`; batched route construction
+        calls it directly with the table it fetched once per source.
+        """
         for i, port in enumerate(routing_ports):
-            if not self.is_switch(current):
+            nxt = hop_table.get((node, port))
+            if nxt is None:
+                if not self.is_switch(node):
+                    raise TopologyError(
+                        f"route byte {i} consumed at non-switch"
+                        f" {self.node_name(node)}"
+                    )
                 raise TopologyError(
-                    f"route byte {i} consumed at non-switch"
-                    f" {self.node_name(current)}"
-                )
-            nxt_link = self.link_at(current, port)
-            if nxt_link is None:
-                raise TopologyError(
-                    f"route byte {i}: {self.node_name(current)} port {port}"
+                    f"route byte {i}: {self.node_name(node)} port {port}"
                     " is not cabled"
                 )
-            current, _port = nxt_link.far_end(current, port)
-        return current
+            node = nxt
+        return node
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

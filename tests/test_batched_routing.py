@@ -1,14 +1,16 @@
 """Batched all-pairs route construction vs the per-pair oracles.
 
-The scale-study tentpole rewired route construction around per-source
-trees; the per-pair searches were preserved verbatim as oracles
-(``*_pairwise``).  These tests pin the equivalence — same routes,
-byte for byte, in the same insertion order — on every topology family
-the repo ships, plus the cache and laziness behaviors that ride on
-the batch path.
+Route construction runs per source: one tree per source switch and
+flat topology tables resolved once per source.  The per-pair searches
+live in :mod:`tests.routing_oracles`.  These tests pin the equivalence
+— same routes, byte for byte, in the same insertion order — on every
+topology family the repo ships, plus the cache, laziness and work-count
+behaviors that ride on the batch path.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import pytest
 
@@ -26,6 +28,8 @@ from repro.topology.generators import (
     random_irregular_scaled,
     torus_2d,
 )
+from repro.topology.graph import Topology, TopologyError
+from tests import routing_oracles
 
 
 def _topologies():
@@ -47,14 +51,15 @@ class TestBatchedEqualsPairwise:
     def test_updown(self, topo):
         orientation = build_orientation(topo)
         batched = UpDownRouter(topo, orientation).all_pairs()
-        oracle = UpDownRouter(topo, orientation).all_pairs_pairwise()
+        oracle = routing_oracles.updown_all_pairs(
+            UpDownRouter(topo, orientation))
         assert list(batched) == list(oracle)  # insertion order too
         assert batched == oracle
 
     def test_itb(self, topo):
         orientation = build_orientation(topo)
         batched = ItbRouter(topo, orientation).all_pairs()
-        oracle = ItbRouter(topo, orientation).all_pairs_pairwise()
+        oracle = routing_oracles.itb_all_pairs(ItbRouter(topo, orientation))
         assert list(batched) == list(oracle)
         assert batched == oracle
 
@@ -77,9 +82,8 @@ class TestBatchedStatefulPolicy:
         orientation = build_orientation(topo)
         batched = ItbRouter(topo, orientation,
                             host_policy=round_robin_policy()).all_pairs()
-        oracle = ItbRouter(topo, orientation,
-                           host_policy=round_robin_policy()
-                           ).all_pairs_pairwise()
+        oracle = routing_oracles.itb_all_pairs(
+            ItbRouter(topo, orientation, host_policy=round_robin_policy()))
         assert batched == oracle
 
 
@@ -107,8 +111,8 @@ class TestRouteCacheBatch:
         topo = random_irregular(10, seed=4)
         cache = RouteCache(max_entries=4)
         _orient, pairs = cache.routes_for(topo, "itb")
-        oracle = ItbRouter(topo, build_orientation(topo)
-                           ).all_pairs_pairwise()
+        oracle = routing_oracles.itb_all_pairs(
+            ItbRouter(topo, build_orientation(topo)))
         assert pairs == oracle
 
     def test_routes_from_counts_batch_hits(self):
@@ -165,3 +169,40 @@ class TestLazyDerivedState:
         a = topology_signature(topo)
         assert "topology_signature" in topo._derived
         assert topology_signature(topo) == a
+
+
+class TestFlatTableWorkCount:
+    """Batched construction resolves topology tables once per source
+    (or once per batch), never once per host pair."""
+
+    @pytest.mark.parametrize("router_cls", [UpDownRouter, ItbRouter],
+                             ids=["updown", "itb"])
+    def test_derived_lookups_scale_with_switches(self, router_cls):
+        topo = random_irregular_scaled(64, seed=11)
+        orientation = build_orientation(topo)
+        n_switches = len(topo.switches())
+        n_hosts = len(topo.hosts())
+        with mock.patch.object(Topology, "derived", autospec=True,
+                               side_effect=Topology.derived) as spy:
+            pairs = router_cls(topo, orientation).all_pairs()
+        assert len(pairs) == n_hosts * (n_hosts - 1)
+        # One route-table fetch per source host, one shortest-path DAG
+        # (and its distance map) per destination switch: a fixed
+        # multiple of the switch count, far below the 4032 host pairs.
+        assert n_hosts == n_switches
+        assert spy.call_count <= 4 * n_switches
+
+    def test_walk_route_errors_keep_their_text(self):
+        topo = Topology()
+        s1 = topo.add_switch(name="s1")
+        s2 = topo.add_switch(name="s2")
+        topo.connect(s1, 0, s2, 0)
+        h1 = topo.attach_host(s1, 1, name="h1")
+        h2 = topo.attach_host(s2, 1, name="h2")
+        assert topo.walk_route(h1, [0, 1]) == h2
+        with pytest.raises(TopologyError) as dangling:
+            topo.walk_route(h1, [0, 5])
+        assert str(dangling.value) == "route byte 1: s2 port 5 is not cabled"
+        with pytest.raises(TopologyError) as at_host:
+            topo.walk_route(h1, [0, 1, 0])
+        assert str(at_host.value) == "route byte 2 consumed at non-switch h2"

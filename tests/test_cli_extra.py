@@ -111,6 +111,14 @@ class TestRunCommand:
         ["root-study", "--switch-links", "0"],
         ["fault-campaign", "--loss", "1.5"],
         ["fault-campaign", "--corrupt", "-0.2"],
+        ["fault-campaign", "--size", "0"],
+        ["fault-campaign", "--messages", "0"],
+        ["scale-study", "--targets", "0"],
+        ["scale-study", "--targets", "1"],
+        ["scale-study", "--rate", "0"],
+        ["scale-study", "--rate", "-1"],
+        ["scale-study", "--duration", "0"],
+        ["scale-study", "--dynamic-max", "-1"],
         ["obs", "--load", "0"],
         ["obs", "--packet-size", "0"],
         ["obs", "--duration", "0"],
@@ -141,6 +149,14 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("usage:")
         assert "must be >" in err
+
+    def test_unknown_fault_schedule_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", "fault-campaign", "--schedules", "bogus"])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "invalid choice: 'bogus'" in err
 
 class TestAllCommand:
     def test_all_regenerates_and_saves(self, capsys, tmp_path):

@@ -17,6 +17,7 @@ from repro.routing.spanning_tree import build_orientation
 from repro.routing.updown import UpDownRouter
 from repro.topology.generators import fig1_topology, linear_switches, random_irregular
 from repro.topology.graph import PortKind, Topology
+from tests import routing_oracles
 
 
 @pytest.fixture
@@ -119,7 +120,7 @@ class TestFallbacks:
         return topo, hosts, router, UpDownRouter(topo, orientation)
 
     def _assert_consistent(self, topo, router, route, src, dst):
-        assert route == router.itb_route_pairwise(src, dst)
+        assert route == routing_oracles.itb_route(router, src, dst)
         assert is_deadlock_free(topo, [route])
 
     def test_fallback_to_updown_when_no_host(self):

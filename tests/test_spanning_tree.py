@@ -102,7 +102,7 @@ class TestPathValidity:
         topo, roles = fig1_topology()
         o = build_orientation(topo, root=roles["sw0"])
         with pytest.raises(RouteError):
-            o.path_directions(topo, [roles["sw4"], roles["sw3"]])
+            o.violations(topo, [roles["sw4"], roles["sw3"]])
 
 
 class TestChooseRoot:
