@@ -5,11 +5,14 @@ replaces a BFS per host pair, and the ITB router legalizes from
 per-source Dijkstra trees instead of per-pair searches.  The per-pair
 searches live in ``tests/routing_oracles.py``, so the guard can assert
 both the speedup *and* bit-identical routes on every run — the batched
-trees are proven, not trusted.
+trees are proven, not trusted.  Each build also passes a deterministic
+work gate: zero full cyclic-GC collections (the batch pauses the
+collector; see ``docs/SCALE_STUDY.md``).
 """
 
 from __future__ import annotations
 
+import gc
 import time
 
 from repro.routing.itb import ItbRouter
@@ -17,6 +20,7 @@ from repro.routing.spanning_tree import build_orientation
 from repro.routing.updown import UpDownRouter
 from repro.topology.generators import random_irregular_scaled
 from tests import routing_oracles
+from tests.helpers import count_collections
 
 #: The 128-switch irregular fabric of the scale study's middle rung.
 _N_SWITCHES = 128
@@ -25,6 +29,14 @@ _SEED = 7
 
 def _bench_topology():
     return random_irregular_scaled(_N_SWITCHES, seed=_SEED)
+
+
+def _assert_no_full_collection(counts):
+    """Deterministic gate: a batched build pauses the cyclic collector,
+    so it runs no full collection and at most the one young sweep owed
+    when the collector resumes."""
+    assert counts[2] == 0, f"{counts[2]} full collections in the batch"
+    assert sum(counts.values()) <= 1, f"collections in the batch: {counts}"
 
 
 def test_bench_allpairs_build(benchmark, bench_headline):
@@ -38,9 +50,11 @@ def test_bench_allpairs_build(benchmark, bench_headline):
 
     routes = benchmark(batched)
 
-    t0 = time.perf_counter()
-    fast_routes = batched()
-    fast = time.perf_counter() - t0
+    gc.collect()
+    with count_collections() as counts:
+        t0 = time.perf_counter()
+        fast_routes = batched()
+        fast = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     oracle = routing_oracles.updown_all_pairs(UpDownRouter(topo, orientation))
@@ -49,6 +63,7 @@ def test_bench_allpairs_build(benchmark, bench_headline):
     assert list(fast_routes) == list(oracle)  # same insertion order
     assert fast_routes == oracle  # same routes, byte for byte
     assert routes == oracle
+    _assert_no_full_collection(counts)
 
     ratio = slow / fast
     bench_headline["speedup_ratio"] = round(ratio, 3)
@@ -79,9 +94,11 @@ def test_bench_itb_allpairs_build(benchmark, bench_headline):
 
     routes = benchmark(batched)
 
-    t0 = time.perf_counter()
-    fast_routes = batched()
-    fast = time.perf_counter() - t0
+    gc.collect()
+    with count_collections() as counts:
+        t0 = time.perf_counter()
+        fast_routes = batched()
+        fast = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     oracle = routing_oracles.itb_all_pairs(ItbRouter(topo, orientation))
@@ -90,6 +107,7 @@ def test_bench_itb_allpairs_build(benchmark, bench_headline):
     assert list(fast_routes) == list(oracle)
     assert fast_routes == oracle
     assert routes == oracle
+    _assert_no_full_collection(counts)
 
     ratio = slow / fast
     bench_headline["speedup_ratio"] = round(ratio, 3)

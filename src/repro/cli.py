@@ -7,7 +7,8 @@ the same spelled out as ``repro run <name>``; ``repro list`` shows
 what is registered.  Each generated subcommand accepts ``--jobs N``
 (fan independent points over a process pool; results are identical to
 a serial run) and ``--save FILE`` (persist the spec-keyed result
-document).
+document), and exits 1 when the result breaches a contract the
+experiment checks (``fault-campaign``: a message unaccounted for).
 
 Hand-written subcommands cover everything that is not a registered
 experiment:
@@ -71,7 +72,7 @@ def _make_experiment_command(exp: Experiment):
                   f" {express['stepped_hops']} stepped hops)")
         if report.saved_to:
             print(f"saved to {report.saved_to}")
-        return 0
+        return exp.exit_status(report.result)
 
     return cmd
 

@@ -900,6 +900,9 @@ class FaultCampaignExperiment(Experiment):
                    f"{verdict}")
         return "\n".join(out)
 
+    def exit_status(self, result: Any) -> int:
+        return 0 if result.all_accounted else 1
+
 
 @register_experiment("scale-study", "EXP-SCALE 16->512 switch fabric sweep")
 class ScaleStudyExperiment(Experiment):

@@ -170,6 +170,10 @@ class Experiment:
         """Human-readable report for the CLI (tables, summaries)."""
         return repr(result)
 
+    def exit_status(self, result: Any) -> int:
+        """CLI exit code: non-zero when the result breaches a contract."""
+        return 0
+
 
 _REGISTRY: dict[str, Experiment] = {}
 _definitions_loaded = False

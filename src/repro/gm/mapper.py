@@ -277,12 +277,12 @@ class ItbReselector:
                 key = (s_src, topo.switch_of(dst))
                 if key in plans:
                     continue
-                path = list(route.segments[0].switch_path)
+                path = route.segments[0].switch_path
                 splits: list[int] = []
                 for seg in route.segments[1:]:
                     splits.append(len(path) - 1)
-                    path.extend(seg.switch_path[1:])
-                plans[key] = (path, splits)
+                    path += seg.switch_path[1:]
+                plans[key] = (path, tuple(splits))
 
     @property
     def decisions(self) -> int:

@@ -53,6 +53,7 @@ from repro.core.timings import Timings
 from repro.harness.throughput import build_load_network
 from repro.harness.workloads import drive_traffic
 from repro.routing.itb import ItbRouter
+from repro.routing.routes import route_batch
 from repro.routing.spanning_tree import build_orientation
 from repro.routing.updown import UpDownRouter
 from repro.topology.generators import (clos, fat_tree,
@@ -199,51 +200,56 @@ def measure_scale_point(
     stamp (same routers, same deterministic tie-breaks).  Wall-clock
     fields are environment-dependent by nature and are never golden'd
     or gated — they exist so the scale table documents build cost.
+    Route build and scoring are one :func:`~repro.routing.route_batch`
+    that drops the routes before the collector resumes, so it never
+    sweeps them; the dynamic point simulates after the pause.
     """
     t0 = time.perf_counter()
     topo = family_topology(family, target, topo_seed)
     orientation = build_orientation(topo)
     build_s = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    router = _make_router(topo, routing, orientation)
-    pairs = router.itb_all_pairs()
-    route_s = time.perf_counter() - t0
+    with route_batch():
+        t0 = time.perf_counter()
+        router = _make_router(topo, routing, orientation)
+        pairs = router.itb_all_pairs()
+        route_s = time.perf_counter() - t0
 
-    hosts = topo.hosts()
-    host_switch = topo.route_tables().host_switch
-    distances = {s: topo.switch_distances(s) for s in topo.switches()}
-    root = orientation.root
-    n_pairs = len(pairs)
-    minimal = 0
-    stretch_sum = 0.0
-    through_root = 0
-    itb_pairs = 0
-    total_itbs = 0
-    channel_load: Counter = Counter()
-    itb_host_load: Counter = Counter()
-    for (s, d), route in pairs.items():
-        switch_hops = route.switch_hops()
-        hops = len(switch_hops)
-        min_hops = distances[host_switch[s]][host_switch[d]]
-        if hops == min_hops:
-            minimal += 1
-        stretch_sum += (hops + 1) / (min_hops + 1)
-        if any(root in seg.switch_path for seg in route.segments):
-            through_root += 1
-        if route.n_itbs:
-            itb_pairs += 1
-            total_itbs += route.n_itbs
-            itb_host_load.update(route.itb_hosts)
-        channel_load.update(switch_hops)
+        hosts = topo.hosts()
+        host_switch = topo.route_tables().host_switch
+        distances = {s: topo.switch_distances(s) for s in topo.switches()}
+        root = orientation.root
+        n_pairs = len(pairs)
+        minimal = 0
+        stretch_sum = 0.0
+        through_root = 0
+        itb_pairs = 0
+        total_itbs = 0
+        channel_load: Counter = Counter()
+        itb_host_load: Counter = Counter()
+        for (s, d), route in pairs.items():
+            switch_hops = route.switch_hops()
+            hops = len(switch_hops)
+            min_hops = distances[host_switch[s]][host_switch[d]]
+            if hops == min_hops:
+                minimal += 1
+            stretch_sum += (hops + 1) / (min_hops + 1)
+            if any(root in seg.switch_path for seg in route.segments):
+                through_root += 1
+            if route.n_itbs:
+                itb_pairs += 1
+                total_itbs += route.n_itbs
+                itb_host_load.update(route.itb_hosts)
+            channel_load.update(switch_hops)
 
-    max_load = max(channel_load.values(), default=0)
-    link_rate = 1.0 / (timings or Timings()).link_byte_ns
-    # Uniform all-to-all: the busiest channel carries max_load of the
-    # H*(H-1) flows; it fills when each host offers link_rate*(H-1)/max_load.
-    saturation = (link_rate * (len(hosts) - 1) / max_load
-                  if max_load > 0 else 0.0)
-    diameter = max(max(dist.values()) for dist in distances.values())
+        max_load = max(channel_load.values(), default=0)
+        link_rate = 1.0 / (timings or Timings()).link_byte_ns
+        # Uniform all-to-all: the busiest channel carries max_load of the
+        # H*(H-1) flows; it fills when each host offers link_rate*(H-1)/max_load.
+        saturation = (link_rate * (len(hosts) - 1) / max_load
+                      if max_load > 0 else 0.0)
+        diameter = max(max(dist.values()) for dist in distances.values())
+        del router, pairs
 
     dynamic: Optional[ScaleDynamicPoint] = None
     if target <= dynamic_max:

@@ -267,23 +267,22 @@ def encode_packet(
     Fig. 3b otherwise).
 
     ``payload`` may be real bytes or just a length (content zeros) for
-    performance runs where only sizes matter.
+    performance runs where only sizes matter.  Zeros add nothing to an
+    XOR, so a length-only payload's CRC is that of the type bytes.
     """
     if isinstance(route, SourceRoute):
         route = ItbRoute((route,))
-    if isinstance(payload, int):
-        payload_bytes = bytes(payload)
-    else:
-        payload_bytes = bytes(payload)
+    type_bytes = bytes([final_type >> 8, final_type & 0xFF])
+    payload_bytes = bytes(payload)
+    crc = _xor_crc(type_bytes if isinstance(payload, int)
+                   else type_bytes + payload_bytes)
     if final_type == TYPE_ITB:
         raise PacketFormatError("final type cannot be the ITB tag")
 
     segments = route.segments
     # Build from the tail: final type + payload + CRC, then prepend
     # stages right-to-left.
-    tail = bytes([final_type >> 8, final_type & 0xFF]) + payload_bytes
-    tail += bytes([_xor_crc(bytes([final_type >> 8, final_type & 0xFF])
-                            + payload_bytes)])
+    tail = type_bytes + payload_bytes + bytes([crc])
 
     body = tail
     for seg in reversed(segments[1:]):

@@ -15,7 +15,9 @@ Implements the routing machinery the paper builds on:
 * per-host route tables as stamped into NIC SRAM by the mapper
   (:mod:`repro.routing.tables`),
 * a process-safe all-pairs route cache shared across experiment
-  points (:mod:`repro.routing.cache`).
+  points (:mod:`repro.routing.cache`),
+* :func:`~repro.routing.routes.route_batch`, which pauses the cyclic
+  garbage collector over one acyclic route batch.
 """
 
 from repro.routing.routes import (
@@ -23,6 +25,7 @@ from repro.routing.routes import (
     ItbRoute,
     RouteError,
     SourceRoute,
+    route_batch,
 )
 from repro.routing.spanning_tree import UpDownOrientation, build_orientation
 from repro.routing.updown import UpDownRouter
@@ -70,5 +73,6 @@ __all__ = [
     "find_dependency_cycle",
     "is_deadlock_free",
     "make_selector",
+    "route_batch",
     "topology_signature",
 ]

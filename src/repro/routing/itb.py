@@ -22,10 +22,11 @@ path of any length.
 In-transit host selection within a switch is pluggable (policy
 callable), since the paper's follow-ups study load-aware placement.
 
-Construction is batched: switch-pair plans and per-source legalization
-trees are memoized, and :meth:`ItbRouter.routes_from` resolves the
-topology's flat :class:`~repro.topology.graph.RouteTables` and the
-orientation's direction table once per source for every destination.
+Construction is batched: switch-pair plans (int tuples) and per-source
+legalization trees are memoized, all-pairs runs in one route batch, and
+:meth:`ItbRouter.routes_from` resolves the topology's flat
+:class:`~repro.topology.graph.RouteTables` and the orientation's
+direction table once per source for every destination.
 The per-pair searches the batched path must match byte for byte live
 in the test suite as oracles (``tests/routing_oracles.py``).
 """
@@ -36,7 +37,8 @@ import heapq
 from typing import Callable, Optional, Sequence
 
 from repro.routing.minimal import ShortestDag, dag_paths, shortest_dag
-from repro.routing.routes import Direction, ItbRoute, RouteError, SourceRoute
+from repro.routing.routes import (Direction, ItbRoute, RouteError,
+                                  SourceRoute, all_pairs_of)
 from repro.routing.spanning_tree import (UpDownOrientation, build_orientation,
                                          updown_violations)
 from repro.routing.updown import UpDownRouter
@@ -47,6 +49,10 @@ __all__ = ["ItbRouter", "first_host_policy", "round_robin_policy"]
 
 HostPolicy = Callable[[Topology, int, int, int], int]
 """(topo, switch, src_host, dst_host) -> chosen in-transit host id."""
+
+#: ``(switch_path, splits)``: int tuples, which the cyclic collector
+#: never tracks and which are smaller than lists.
+Plan = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def first_host_policy(topo: Topology, switch: int, _src: int, _dst: int) -> int:
@@ -118,8 +124,7 @@ class ItbRouter:
         # host_policy (only _build does), so memoizing them is invisible
         # to stateful policies and lets every host pair on the same
         # switch pair share one path search.
-        self._plans: dict[tuple[int, int],
-                          Optional[tuple[list[int], list[int]]]] = {}
+        self._plans: dict[tuple[int, int], Optional[Plan]] = {}
         # s_src -> (parent, goal) full legalization-Dijkstra tree.
         self._legal_trees: dict[int, tuple[dict, dict]] = {}
         # s_dst -> shortest-path DAG toward it, resolved once per router.
@@ -163,7 +168,7 @@ class ItbRouter:
         s_dst: int,
         tables: RouteTables,
         dirs: dict[tuple[int, int], Direction],
-    ) -> Optional[tuple[list[int], list[int]]]:
+    ) -> Optional[Plan]:
         """Memoized ``(switch_path, splits)`` plan for a switch pair.
 
         ``None`` means "fall back to plain up*/down*".  Plans are pure
@@ -187,9 +192,9 @@ class ItbRouter:
                 best = (len(splits), path, splits)
             if best[0] == 0:
                 break
-        plan: Optional[tuple[list[int], list[int]]] = None
+        plan: Optional[Plan] = None
         if best is not None:
-            plan = (best[1], best[2])
+            plan = (tuple(best[1]), tuple(best[2]))
         elif self.allow_longer:
             plan = self._shortest_legalizable(s_src, s_dst)
         self._plans[key] = plan
@@ -243,16 +248,10 @@ class ItbRouter:
         """ITB routes for every ordered host pair (the mapper's job).
 
         Batched over shared pair plans and per-source trees, with the
-        host-policy call order of a per-pair loop.
+        host-policy call order of a per-pair loop, in one route batch
+        (:func:`~repro.routing.routes.all_pairs_of`).
         """
-        hosts = self.topo.hosts()
-        out: dict[tuple[int, int], ItbRoute] = {}
-        for s in hosts:
-            routes = self.routes_from(s)
-            for d in hosts:
-                if s != d:
-                    out[(s, d)] = routes[d]
-        return out
+        return all_pairs_of(self)
 
     def itb_all_pairs(self) -> dict[tuple[int, int], ItbRoute]:
         """Uniform batch interface shared by every router kind."""
@@ -266,8 +265,8 @@ class ItbRouter:
         self,
         src_host: int,
         dst_host: int,
-        switch_path: list[int],
-        splits: list[int],
+        switch_path: Sequence[int],
+        splits: Sequence[int],
         tables: RouteTables,
         dirs: dict[tuple[int, int], Direction],
     ) -> ItbRoute:
@@ -352,7 +351,7 @@ class ItbRouter:
 
     def _shortest_legalizable(
         self, s_src: int, s_dst: int
-    ) -> Optional[tuple[list[int], list[int]]]:
+    ) -> Optional[Plan]:
         """Shortest legalizable (path, splits), served off the memoized
         per-source tree; ``None`` when the destination is unreachable."""
         parent, goal = self._legal_tree_for(s_src)
@@ -372,4 +371,4 @@ class ItbRouter:
                 splits.append(len(path) - 1)
             else:
                 path.append(st[0])
-        return path, splits
+        return tuple(path), tuple(splits)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from repro.routing.routes import ItbRoute, RouteError, SourceRoute
+from repro.routing.routes import ItbRoute, RouteError, SourceRoute, all_pairs_of
 from repro.topology.graph import Topology
 
 __all__ = ["MinimalRouter", "all_shortest_switch_paths", "dag_paths",
@@ -19,7 +19,7 @@ __all__ = ["MinimalRouter", "all_shortest_switch_paths", "dag_paths",
 
 #: (distances to a destination switch, that destination's shortest-DAG
 #: children per switch, filled lazily by :func:`dag_paths`)
-ShortestDag = tuple[dict[int, int], dict[int, list[int]]]
+ShortestDag = tuple[dict[int, int], dict[int, tuple[int, ...]]]
 
 
 def shortest_dag(topo: Topology, dst_switch: int) -> ShortestDag:
@@ -83,11 +83,10 @@ def dag_paths(
             continue
         nexts = children.get(u)
         if nexts is None:
-            nexts = [
+            nexts = children[u] = tuple(
                 v for v in adj[u]
                 if dist_to_dst.get(v, -1) == dist_to_dst[u] - 1
-            ]
-            children[u] = nexts
+            )
         # Push in reverse id order so pops occur in ascending order.
         for v in reversed(nexts):
             stack.append((v, path + [v]))
@@ -177,17 +176,9 @@ class MinimalRouter:
         return out
 
     def all_pairs(self) -> dict[tuple[int, int], SourceRoute]:
-        """Minimal routes for every ordered host pair (batched)."""
-        hosts = self.topo.hosts()
-        out: dict[tuple[int, int], SourceRoute] = {}
-        for s in hosts:
-            routes = self.routes_from(s)
-            for d in hosts:
-                if s != d:
-                    out[(s, d)] = routes[d]
-        return out
+        """Minimal routes for every ordered host pair (one route batch)."""
+        return all_pairs_of(self)
 
     def itb_all_pairs(self) -> dict[tuple[int, int], ItbRoute]:
         """Batched all-pairs in the single-segment ITB wrapper."""
-        return {pair: ItbRoute((r,))
-                for pair, r in self.all_pairs().items()}
+        return all_pairs_of(self, wrap=True)

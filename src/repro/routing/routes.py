@@ -9,15 +9,21 @@ simulator and for validity analysis).
 An **ITB route** (:class:`ItbRoute`) is a chain of source-route
 segments; the boundary between consecutive segments is an in-transit
 host where the packet is ejected and re-injected (paper Figure 3b).
+
+Both are acyclic, so all-pairs batches (:func:`all_pairs_of`) run
+with the cyclic garbage collector paused (:func:`route_batch`).
 """
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterator
 
-__all__ = ["Direction", "ItbRoute", "RouteError", "SourceRoute"]
+__all__ = ["Direction", "ItbRoute", "RouteError", "SourceRoute",
+           "all_pairs_of", "route_batch"]
 
 
 class RouteError(ValueError):
@@ -142,6 +148,31 @@ class ItbRoute:
         )
 
 
-def chain_segments(segments: Sequence[SourceRoute]) -> ItbRoute:
-    """Build an :class:`ItbRoute` from already-computed segments."""
-    return ItbRoute(tuple(segments))
+@contextmanager
+def route_batch() -> Iterator[None]:
+    """Pause the cyclic garbage collector over one route batch (also a
+    decorator).  Batches hold no reference cycles, so collections only
+    rescan them; the prior state comes back on exit, even on error."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@route_batch()
+def all_pairs_of(router, wrap: bool = False) -> dict:
+    """Every ordered host pair's route off ``router.routes_from`` (one
+    call per source, so stateful host policies see a per-pair loop's
+    order), in one route batch; ``wrap`` makes single-segment
+    :class:`ItbRoute`\\ s of plain routes."""
+    hosts = router.topo.hosts()
+    out = {}
+    for s in hosts:
+        routes = router.routes_from(s)
+        for d in hosts:
+            if s != d:
+                out[(s, d)] = ItbRoute((routes[d],)) if wrap else routes[d]
+    return out

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Protocol, Union
 
-from repro.routing.routes import ItbRoute, RouteError, SourceRoute
+from repro.routing.routes import ItbRoute, RouteError, SourceRoute, route_batch
 
 __all__ = ["RouteTable", "build_route_tables"]
 
@@ -58,6 +58,7 @@ class RouteTable:
         return len(self.entries)
 
 
+@route_batch()
 def build_route_tables(
     hosts: list[int],
     router: _Router,
@@ -71,7 +72,7 @@ def build_route_tables(
     do — one BFS tree per source instead of a search per pair), falling
     back to per-pair ``itb_route`` for minimal protocol implementations.
     The router sees destinations in the same order either way, so
-    stateful host policies produce identical tables.
+    stateful host policies produce identical tables, in one route batch.
     """
     tables = {h: RouteTable(host=h) for h in hosts}
     batch = getattr(router, "routes_from", None)

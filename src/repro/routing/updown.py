@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional, Sequence
 
-from repro.routing.routes import ItbRoute, RouteError, SourceRoute
+from repro.routing.routes import ItbRoute, RouteError, SourceRoute, all_pairs_of
 from repro.routing.spanning_tree import UpDownOrientation, build_orientation
 from repro.topology.graph import RouteTables, Topology
 
@@ -235,18 +235,10 @@ class UpDownRouter:
         """Routes for every ordered host pair (the mapper's job).
 
         Batched: one BFS tree per source switch, shared across every
-        destination.
+        destination, in one route batch (:func:`all_pairs_of`).
         """
-        hosts = self.topo.hosts()
-        out: dict[tuple[int, int], SourceRoute] = {}
-        for s in hosts:
-            routes = self.routes_from(s)
-            for d in hosts:
-                if s != d:
-                    out[(s, d)] = routes[d]
-        return out
+        return all_pairs_of(self)
 
     def itb_all_pairs(self) -> dict[tuple[int, int], ItbRoute]:
         """Batched all-pairs in the single-segment ITB wrapper."""
-        return {pair: ItbRoute((r,))
-                for pair, r in self.all_pairs().items()}
+        return all_pairs_of(self, wrap=True)

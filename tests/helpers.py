@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
+
 from repro.obs.tracing import SpanTracer
 
 
@@ -36,3 +39,23 @@ def send_traced(net, src, dst, size=64, route=None, on_final=None, run=True):
     if run:
         sim.run_until_event(done)
     return tp
+
+
+@contextmanager
+def count_collections():
+    """Count the cyclic collector's runs per generation in the block.
+
+    Yields ``{0: n0, 1: n1, 2: n2}``, filled through ``gc.callbacks``
+    (a work count, independent of wall time).
+    """
+    counts = {0: 0, 1: 0, 2: 0}
+
+    def _on_gc(phase, info):
+        if phase == "start":
+            counts[info["generation"]] += 1
+
+    gc.callbacks.append(_on_gc)
+    try:
+        yield counts
+    finally:
+        gc.callbacks.remove(_on_gc)

@@ -158,6 +158,26 @@ class TestRunCommand:
         assert err.startswith("usage:")
         assert "invalid choice: 'bogus'" in err
 
+class TestFaultCampaignExitCode:
+    def test_default_campaign_exits_0(self, capsys):
+        assert main(["run", "fault-campaign"]) == 0
+        assert "every message accounted for" in capsys.readouterr().out
+
+    def test_reliability_breach_exits_1_and_still_saves(self, capsys,
+                                                        tmp_path):
+        out_path = tmp_path / "fc.json"
+        rc = main(["run", "fault-campaign", "--loss", "1.0",
+                   "--corrupt", "0.0", "--schedules", "none",
+                   "--messages", "2", "--save", str(out_path)])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "MESSAGES UNACCOUNTED FOR" in out
+        assert f"saved to {out_path}" in out
+        from repro.harness.persist import load_results
+
+        assert not load_results(out_path)["fault-campaign"].all_accounted
+
+
 class TestAllCommand:
     def test_all_regenerates_and_saves(self, capsys, tmp_path):
         out_path = tmp_path / "results.json"

@@ -229,3 +229,33 @@ def test_roundtrip_property_itb(seg_lens, payload):
             assert remaining == seg_lens[i + 1]
     assert img.leading_type() == TYPE_GM
     assert img.payload() == payload
+
+
+def _reference_crc(data: bytes) -> int:
+    """The XOR checksum one byte at a time: the definition, kept here as
+    the oracle for :func:`encode_packet`'s shortcuts."""
+    crc = 0
+    for b in data:
+        crc ^= b
+    return crc
+
+
+@given(
+    n_route=st.integers(min_value=1, max_value=6),
+    payload=st.one_of(st.integers(min_value=0, max_value=4096),
+                      st.binary(min_size=0, max_size=300)),
+    final_type=st.sampled_from([TYPE_GM, TYPE_IP]),
+)
+@settings(max_examples=100)
+def test_crc_matches_reference_byte_loop(n_route, payload, final_type):
+    """The CRC byte equals the reference XOR over type + payload bytes,
+    and a length-only payload encodes to the image of explicit zeros."""
+    route = SourceRoute(src=0, dst=1, ports=tuple(range(n_route)),
+                        switch_path=tuple(range(n_route)))
+    img = encode_packet(route, payload, final_type=final_type)
+    payload_bytes = bytes(payload)
+    covered = bytes([final_type >> 8, final_type & 0xFF]) + payload_bytes
+    assert img.data[-1] == _reference_crc(covered)
+    assert img.data == encode_packet(route, payload_bytes,
+                                     final_type=final_type).data
+    assert img.crc_ok()
