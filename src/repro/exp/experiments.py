@@ -908,8 +908,8 @@ class FaultCampaignExperiment(Experiment):
 class ScaleStudyExperiment(Experiment):
     """ITB vs up*/down* across Clos, fat-tree, and irregular fabrics.
 
-    Static route-quality metrics from full batched all-pairs builds at
-    every size rung (the tentpole of the batched route construction),
+    Static route-quality metrics scored from every host pair's route
+    plan (switch path, cuts, in-transit hosts) at every size rung,
     plus one simulated offered-load point on fabrics small enough to
     drive through the event simulator.  Methodology and findings are
     documented in :mod:`repro.harness.scale_study` and
@@ -1062,7 +1062,7 @@ class ScaleStudyExperiment(Experiment):
                          f" ratio {ratio:.2f}x")
         return (f"{table}\n\n{'; '.join(notes)}\n"
                 "sat-bound = analytic uniform-traffic saturation"
-                " (bytes/ns/host); route-s = batched all-pairs wall time")
+                " (bytes/ns/host); route-s = plan-pass wall time")
 
 
 @register_experiment("adaptive-itb",

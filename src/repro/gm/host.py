@@ -333,6 +333,30 @@ class GmHost:
 
     # -- retransmission timer -------------------------------------------
 
+    def failure_bound_ns(self, packets: int = 1) -> float:
+        """Worst-case time for ``packets`` data packets of sends already
+        issued on one connection to resolve: acked, or failed with
+        :class:`GmSendError`.  Derived from this host's parameters only;
+        ``docs/RELIABILITY.md`` gives the argument.
+
+        With no ack progress a connection fails within ``max_retries + 1``
+        timer expiries whose waits follow the capped backoff, so within
+        ``chain = sum(min(resend_timeout_ns * backoff_factor**k,
+        max_backoff_ns) for k in 0..max_retries)`` — from any instant,
+        because the oldest unacked packet has been retried at least
+        ``backoff_exp`` times.  Ack progress resets the backoff and
+        restarts the chain, but acks at least one packet, so at most
+        ``packets`` chains run back to back.  The send window bounds how
+        many of those packets are on the wire at once, not how many
+        chains run: a blocked sender pushes at the progress that opens
+        the window.  Each packet also spends ``host_send_sw_ns`` (host
+        jitter aside) before it reaches the NIC.
+        """
+        chain = sum(min(self.resend_timeout_ns * self.backoff_factor ** k,
+                        self.max_backoff_ns)
+                    for k in range(self.max_retries + 1))
+        return packets * (chain + self.timings.host_send_sw_ns)
+
     def _current_timeout_ns(self, conn: _Connection) -> float:
         t = self.resend_timeout_ns * (self.backoff_factor ** conn.backoff_exp)
         return min(t, self.max_backoff_ns)

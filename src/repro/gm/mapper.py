@@ -15,7 +15,8 @@ from typing import TYPE_CHECKING, Mapping, Optional, Union
 from repro.nic.lanai import Nic
 from repro.routing.itb import HostPolicy, ItbRouter
 from repro.routing.minimal import MinimalRouter
-from repro.routing.routes import ItbRoute, RouteError, SourceRoute
+from repro.routing.routes import (ItbRoute, RouteError, SourceRoute,
+                                  materialise, plan_of, stamps_plan)
 from repro.routing.selectors import Selector
 from repro.routing.spanning_tree import UpDownOrientation, build_orientation
 from repro.routing.tables import build_route_tables
@@ -264,7 +265,8 @@ class ItbReselector:
         one (the tables *are* that entry's routes).
         """
         topo = self.net.topo
-        plans = self._router._plans
+        router = self._router
+        dirs = router.orientation.pair_direction_table(topo)
         for src in sorted(self.net.nics):
             table = self.net.nics[src].route_table
             if table is None:
@@ -275,14 +277,8 @@ class ItbReselector:
                 if len(route.segments) <= 1:
                     continue
                 key = (s_src, topo.switch_of(dst))
-                if key in plans:
-                    continue
-                path = route.segments[0].switch_path
-                splits: list[int] = []
-                for seg in route.segments[1:]:
-                    splits.append(len(path) - 1)
-                    path += seg.switch_path[1:]
-                plans[key] = (path, tuple(splits))
+                if key not in router._plans:
+                    router.remember_plan(key, plan_of(route)[:2], dirs)
 
     @property
     def decisions(self) -> int:
@@ -311,9 +307,12 @@ class ItbReselector:
         """One reselection pass; returns the number of pairs restamped.
 
         Pairs whose route carries no in-transit host are untouched
-        (selection cannot change a single-segment route); pairs whose
-        selector choice equals the stamped route are not reinstalled,
-        so a zero-load pass is a pure no-op.
+        (selection cannot change a single-segment route).  For the
+        rest the selector is asked once per cut, in the order a full
+        rebuild would ask it (``roundrobin`` and ``ewma`` keep state),
+        and a route is materialised and installed only when the chosen
+        plan differs from the stamped route — so a zero-load pass builds
+        no route at all.
         """
         injector = self.net.fabric.meta.get("fault_injector")
         if injector is not None and (injector.down_links
@@ -327,6 +326,7 @@ class ItbReselector:
         topo = self.net.topo
         router = self._router
         tables = topo.route_tables()
+        host_switch = tables.host_switch
         dirs = router.orientation.pair_direction_table(topo)
         changed = 0
         for src in sorted(self.net.nics):
@@ -338,14 +338,15 @@ class ItbReselector:
                 current = table.entries[dst]
                 if len(current.segments) <= 1:
                     continue
-                plan = router._pair_plan(s_src, topo.switch_of(dst),
-                                         tables, dirs)
-                if plan is None or not plan[1]:
+                # Table destinations are hosts of this (full) topology.
+                pair_plan = router._pair_plan(s_src, host_switch[dst],
+                                              tables, dirs)
+                if pair_plan is None or not pair_plan[1]:
                     continue
-                route = router._build(src, dst, plan[0], plan[1],
-                                      tables, dirs)
-                if route == current:
+                plan = (*pair_plan, router.itb_hosts(pair_plan, src, dst))
+                if stamps_plan(current, src, dst, plan, tables):
                     continue
+                route = ItbRoute(materialise(topo, tables, src, dst, plan))
                 table.install(dst, route)
                 changed += 1
                 self.note_change(src, dst, current, route)

@@ -24,9 +24,9 @@ from typing import Callable, Optional
 from repro.core.builder import BuiltNetwork, build_network
 from repro.core.config import NetworkConfig
 from repro.core.timings import Timings
-from repro.gm.host import GmSendError
+from repro.gm.host import GM_MTU, GmSendError
 from repro.network.faults import FaultEvent, FaultPlan, install_fault_plan
-from repro.sim.engine import Timeout
+from repro.sim.engine import Event, Timeout
 
 __all__ = [
     "SCHEDULES",
@@ -145,7 +145,12 @@ def measure_fault_point(
     ``n_messages`` staggered sends (one every ``gap_ns``) run in each
     direction between hosts 1 and 2 while the named ``schedule``'s
     dynamic faults strike; the run ends at ``horizon_ns``, long after
-    quiesce.  Returns the row of reliability counters.
+    quiesce.  If a send is still unresolved then, the run goes on until
+    the last one resolves, but no further than GM's failure bound
+    (:meth:`~repro.gm.host.GmHost.failure_bound_ns`) past the later of
+    the last send and the last fault (its repair, when it has one); a
+    send unresolved at that deadline is a genuine breach.  Returns the
+    row of reliability counters.
     """
     config = NetworkConfig(firmware="itb", routing="itb", reliable=True,
                            seed=seed)
@@ -162,6 +167,9 @@ def measure_fault_point(
     delivered = {"n": 0}
     completed = {"n": 0}
     failed = {"n": 0}
+    # Set only when the run is extended past the horizon, so the
+    # horizon run itself schedules exactly what it always did.
+    all_resolved: Optional[Event] = None
 
     def receiver(gm):
         while True:
@@ -174,6 +182,9 @@ def measure_fault_point(
             completed["n"] += 1
         except GmSendError:
             failed["n"] += 1
+        if (all_resolved is not None and not all_resolved.triggered
+                and completed["n"] + failed["n"] == 2 * n_messages):
+            all_resolved.succeed()
 
     def sender(gm, dst):
         for i in range(n_messages):
@@ -186,6 +197,22 @@ def measure_fault_point(
     sim.process(sender(a, b.host), name="fc-tx-a")
     sim.process(sender(b, a.host), name="fc-tx-b")
     sim.run(until=horizon_ns)
+    if completed["n"] + failed["n"] < 2 * n_messages:
+        last_fault = max((ev.at_ns + (ev.repair_ns or 0.0)
+                          for ev in plan.events), default=0.0)
+        last_send = (n_messages - 1) * gap_ns
+        packets = n_messages * max(1, -(-message_size // GM_MTU))
+        deadline = max(last_fault, last_send) + max(
+            gm.failure_bound_ns(packets) for gm in (a, b))
+        if deadline > sim.now:
+            all_resolved = Event(sim, name="fc-all-resolved")
+
+            def give_up():
+                if not all_resolved.triggered:
+                    all_resolved.succeed()
+
+            sim.schedule_at(deadline, give_up)
+            sim.run_until_event(all_resolved)
     return FaultCampaignRow(
         loss=loss, corrupt=corrupt, schedule=schedule,
         messages=2 * n_messages,

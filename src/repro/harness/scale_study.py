@@ -23,7 +23,8 @@ generator families cover the design space:
     paths.
 
 Per (family, size, routing) the study reports *static* route-quality
-metrics computed from a full batched all-pairs build (minimal-path
+metrics scored from every host pair's route plan — switch path, cuts
+and in-transit hosts, streamed one source at a time (minimal-path
 coverage, stretch, root-link involvement, worst channel load and the
 analytic saturation throughput it implies, ITB-host pressure) plus
 wall-clock build/route times, and — on sizes small enough to simulate
@@ -53,7 +54,7 @@ from repro.core.timings import Timings
 from repro.harness.throughput import build_load_network
 from repro.harness.workloads import drive_traffic
 from repro.routing.itb import ItbRouter
-from repro.routing.routes import route_batch
+from repro.routing.routes import check_plan, route_batch
 from repro.routing.spanning_tree import build_orientation
 from repro.routing.updown import UpDownRouter
 from repro.topology.generators import (clos, fat_tree,
@@ -67,6 +68,7 @@ __all__ = [
     "family_topology",
     "fat_tree_k_for",
     "measure_scale_point",
+    "score_plans",
 ]
 
 #: Generator families the study sweeps, in report order.
@@ -180,6 +182,75 @@ def _make_router(topo: Topology, routing: str, orientation):
                      f" not {routing!r}")
 
 
+def score_plans(topo: Topology, orientation, router,
+                timings: Optional[Timings] = None) -> dict:
+    """Score every host pair's route plan, one source at a time.
+
+    Streams ``router.plans_from`` for each source host and scores the
+    switch path, its cuts and its in-transit hosts; no route object and
+    no all-pairs collection is built.  Each plan passes
+    :func:`~repro.routing.routes.check_plan` first, the switch-level
+    form of the checks route materialisation runs.  Returns the row's
+    route-quality fields plus ``diameter``.
+    """
+    tables = topo.route_tables()
+    host_switch = tables.host_switch
+    hosts = topo.hosts()
+    root = orientation.root
+    n_pairs = 0
+    minimal = 0
+    stretch_sum = 0.0
+    through_root = 0
+    itb_pairs = 0
+    total_itbs = 0
+    channel_load: Counter = Counter()
+    itb_host_load: Counter = Counter()
+    for s in hosts:
+        dist = topo.switch_distances(host_switch[s])
+        # Counted once per source: one Counter update per source, not
+        # per pair.
+        src_hops: list[tuple[int, int]] = []
+        src_itb_hosts: list[int] = []
+        for d, plan in router.plans_from(s):
+            check_plan(topo, tables, s, d, plan)
+            path, _splits, itb_hosts = plan
+            hops = len(path) - 1
+            min_hops = dist[host_switch[d]]
+            n_pairs += 1
+            if hops == min_hops:
+                minimal += 1
+            stretch_sum += (hops + 1) / (min_hops + 1)
+            if root in path:
+                through_root += 1
+            if itb_hosts:
+                itb_pairs += 1
+                total_itbs += len(itb_hosts)
+                src_itb_hosts.extend(itb_hosts)
+            src_hops.extend(zip(path, path[1:]))
+        channel_load.update(src_hops)
+        itb_host_load.update(src_itb_hosts)
+
+    max_load = max(channel_load.values(), default=0)
+    link_rate = 1.0 / (timings or Timings()).link_byte_ns
+    # Uniform all-to-all: the busiest channel carries max_load of the
+    # H*(H-1) flows; it fills when each host offers link_rate*(H-1)/max_load.
+    saturation = (link_rate * (len(hosts) - 1) / max_load
+                  if max_load > 0 else 0.0)
+    distances = [topo.switch_distances(s) for s in topo.switches()]
+    return dict(
+        diameter=max(max(dist.values()) for dist in distances),
+        n_pairs=n_pairs,
+        minimal_coverage=minimal / n_pairs if n_pairs else 1.0,
+        avg_stretch=stretch_sum / n_pairs if n_pairs else 1.0,
+        root_load_fraction=through_root / n_pairs if n_pairs else 0.0,
+        max_channel_load=max_load,
+        saturation_bytes_per_ns_per_host=saturation,
+        itb_pairs_fraction=itb_pairs / n_pairs if n_pairs else 0.0,
+        total_itbs=total_itbs,
+        max_itbs_per_host=max(itb_host_load.values(), default=0),
+    )
+
+
 def measure_scale_point(
     family: str,
     target: int,
@@ -194,15 +265,17 @@ def measure_scale_point(
     timings: Optional[Timings] = None,
     build: Callable = build_network,
 ) -> ScaleStudyRow:
-    """Build one fabric, run the batched all-pairs, score the routes.
+    """Build one fabric and score its route plans (:func:`score_plans`).
 
-    Every metric is derived from the exact route set a mapper would
-    stamp (same routers, same deterministic tie-breaks).  Wall-clock
-    fields are environment-dependent by nature and are never golden'd
-    or gated — they exist so the scale table documents build cost.
-    Route build and scoring are one :func:`~repro.routing.route_batch`
-    that drops the routes before the collector resumes, so it never
-    sweeps them; the dynamic point simulates after the pause.
+    Every metric is derived from the plans of the exact route set a
+    mapper would stamp (same routers, same deterministic tie-breaks);
+    the port bytes no metric reads are never built.  ``route_s`` times
+    that plan pass, scoring included.  Wall-clock fields are
+    environment-dependent by nature and are never golden'd or gated —
+    they exist so the scale table documents build cost.  The plan pass
+    is one :func:`~repro.routing.route_batch` that drops the router's
+    memos before the collector resumes, so it never sweeps them; the
+    dynamic point simulates after the pause.
     """
     t0 = time.perf_counter()
     topo = family_topology(family, target, topo_seed)
@@ -212,44 +285,9 @@ def measure_scale_point(
     with route_batch():
         t0 = time.perf_counter()
         router = _make_router(topo, routing, orientation)
-        pairs = router.itb_all_pairs()
+        scores = score_plans(topo, orientation, router, timings)
         route_s = time.perf_counter() - t0
-
-        hosts = topo.hosts()
-        host_switch = topo.route_tables().host_switch
-        distances = {s: topo.switch_distances(s) for s in topo.switches()}
-        root = orientation.root
-        n_pairs = len(pairs)
-        minimal = 0
-        stretch_sum = 0.0
-        through_root = 0
-        itb_pairs = 0
-        total_itbs = 0
-        channel_load: Counter = Counter()
-        itb_host_load: Counter = Counter()
-        for (s, d), route in pairs.items():
-            switch_hops = route.switch_hops()
-            hops = len(switch_hops)
-            min_hops = distances[host_switch[s]][host_switch[d]]
-            if hops == min_hops:
-                minimal += 1
-            stretch_sum += (hops + 1) / (min_hops + 1)
-            if any(root in seg.switch_path for seg in route.segments):
-                through_root += 1
-            if route.n_itbs:
-                itb_pairs += 1
-                total_itbs += route.n_itbs
-                itb_host_load.update(route.itb_hosts)
-            channel_load.update(switch_hops)
-
-        max_load = max(channel_load.values(), default=0)
-        link_rate = 1.0 / (timings or Timings()).link_byte_ns
-        # Uniform all-to-all: the busiest channel carries max_load of the
-        # H*(H-1) flows; it fills when each host offers link_rate*(H-1)/max_load.
-        saturation = (link_rate * (len(hosts) - 1) / max_load
-                      if max_load > 0 else 0.0)
-        diameter = max(max(dist.values()) for dist in distances.values())
-        del router, pairs
+        del router
 
     dynamic: Optional[ScaleDynamicPoint] = None
     if target <= dynamic_max:
@@ -269,20 +307,11 @@ def measure_scale_point(
         family=family,
         target=target,
         n_switches=len(topo.switches()),
-        n_hosts=len(hosts),
+        n_hosts=len(topo.hosts()),
         n_links=len(topo.links),
-        diameter=diameter,
-        root=root,
+        root=orientation.root,
         routing=routing,
-        n_pairs=n_pairs,
-        minimal_coverage=minimal / n_pairs if n_pairs else 1.0,
-        avg_stretch=stretch_sum / n_pairs if n_pairs else 1.0,
-        root_load_fraction=through_root / n_pairs if n_pairs else 0.0,
-        max_channel_load=max_load,
-        saturation_bytes_per_ns_per_host=saturation,
-        itb_pairs_fraction=itb_pairs / n_pairs if n_pairs else 0.0,
-        total_itbs=total_itbs,
-        max_itbs_per_host=max(itb_host_load.values(), default=0),
+        **scores,
         build_s=round(build_s, 3),
         route_s=round(route_s, 3),
         dynamic=dynamic,

@@ -10,9 +10,10 @@ The router works in two stages:
 1. Enumerate minimal switch paths between the endpoints and pick one
    whose violation switches all carry at least one attached host
    (candidate in-transit hosts).
-2. Split the chosen path at those switches, producing an
-   :class:`~repro.routing.routes.ItbRoute` whose every segment passes
-   the up*/down* validity check.
+2. Split the chosen path at those switches and pick an in-transit host
+   at each cut, producing a plan whose every segment passes the
+   up*/down* validity check; materialising it yields an
+   :class:`~repro.routing.routes.ItbRoute`.
 
 When no minimal path can be legalized (some violating switch has no
 host), the router either falls back to the plain up*/down* route or —
@@ -23,10 +24,13 @@ In-transit host selection within a switch is pluggable (policy
 callable), since the paper's follow-ups study load-aware placement.
 
 Construction is batched: switch-pair plans (int tuples) and per-source
-legalization trees are memoized, all-pairs runs in one route batch, and
-:meth:`ItbRouter.routes_from` resolves the topology's flat
-:class:`~repro.topology.graph.RouteTables` and the orientation's
-direction table once per source for every destination.
+legalization trees are memoized, and :meth:`ItbRouter.plans_from`
+resolves the topology's flat :class:`~repro.topology.graph.RouteTables`
+and the orientation's direction table once per source for every
+destination.  Its per-pair :data:`~repro.routing.routes.RoutePlan`
+(switch path, cuts, in-transit hosts) is the router's one primitive:
+:meth:`ItbRouter.routes_from` materialises plans into the routes a NIC
+stamps, and the scale study scores them without building any.
 The per-pair searches the batched path must match byte for byte live
 in the test suite as oracles (``tests/routing_oracles.py``).
 """
@@ -34,11 +38,11 @@ in the test suite as oracles (``tests/routing_oracles.py``).
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from repro.routing.minimal import ShortestDag, dag_paths, shortest_dag
-from repro.routing.routes import (Direction, ItbRoute, RouteError,
-                                  SourceRoute, all_pairs_of)
+from repro.routing.routes import (Direction, ItbRoute, RouteError, RoutePlan,
+                                  all_pairs_of, materialise, materialise_from)
 from repro.routing.spanning_tree import (UpDownOrientation, build_orientation,
                                          updown_violations)
 from repro.routing.updown import UpDownRouter
@@ -121,7 +125,7 @@ class ItbRouter:
         self.allow_longer = allow_longer
         self._updown = UpDownRouter(topo, self.orientation)
         # (s_src, s_dst) -> (path, splits) | None.  Plans never invoke
-        # host_policy (only _build does), so memoizing them is invisible
+        # host_policy (only itb_hosts does), so memoizing them is invisible
         # to stateful policies and lets every host pair on the same
         # switch pair share one path search.
         self._plans: dict[tuple[int, int], Optional[Plan]] = {}
@@ -156,11 +160,11 @@ class ItbRouter:
         tables = topo.route_tables()
         dirs = self.orientation.pair_direction_table(topo)
         plan = self._pair_plan(s_src, s_dst, tables, dirs)
-        if plan is not None:
-            return self._build(src_host, dst_host, plan[0], plan[1],
-                               tables, dirs)
-        # Last resort: the plain up*/down* route (always legal).
-        return self._updown.itb_route(src_host, dst_host)
+        if plan is None:
+            # Last resort: the plain up*/down* route (always legal).
+            return self._updown.itb_route(src_host, dst_host)
+        return ItbRoute(materialise(topo, tables, src_host, dst_host, (
+            *plan, self.itb_hosts(plan, src_host, dst_host))))
 
     def _pair_plan(
         self,
@@ -172,8 +176,10 @@ class ItbRouter:
         """Memoized ``(switch_path, splits)`` plan for a switch pair.
 
         ``None`` means "fall back to plain up*/down*".  Plans are pure
-        path analysis — :meth:`_build` applies the (possibly stateful)
-        host policy per host pair afterwards.
+        path analysis — :meth:`itb_hosts` applies the (possibly
+        stateful) host policy per host pair afterwards.  Every segment
+        is rechecked against the up*/down* rule once, here, when the
+        plan is memoized.
         """
         key = (s_src, s_dst)
         if key in self._plans:
@@ -197,33 +203,63 @@ class ItbRouter:
             plan = (tuple(best[1]), tuple(best[2]))
         elif self.allow_longer:
             plan = self._shortest_legalizable(s_src, s_dst)
-        self._plans[key] = plan
+        self.remember_plan(key, plan, dirs)
         return plan
+
+    def remember_plan(
+        self,
+        key: tuple[int, int],
+        plan: Optional[Plan],
+        dirs: dict[tuple[int, int], Direction],
+    ) -> None:
+        """Memoize ``plan`` for the switch pair ``key`` once every
+        segment has passed the up*/down* recheck."""
+        if plan is not None:
+            path, splits = plan
+            start = 0
+            for cut in splits + (len(path) - 1,):
+                sub_path = path[start:cut + 1]
+                if updown_violations(dirs, sub_path):
+                    raise RouteError(
+                        f"internal error: segment {sub_path} still invalid")
+                start = cut
+        self._plans[key] = plan
 
     def route(self, src_host: int, dst_host: int) -> ItbRoute:
         """Alias so routers are interchangeable in the harness."""
         return self.itb_route(src_host, dst_host)
 
-    def routes_from(
+    def itb_hosts(self, plan: Plan, src_host: int,
+                  dst_host: int) -> tuple[int, ...]:
+        """The in-transit host at each cut of ``plan``: one host-policy
+        call per cut, in path order."""
+        path, splits = plan
+        policy, topo = self.host_policy, self.topo
+        return tuple(policy(topo, path[i], src_host, dst_host)
+                     for i in splits)
+
+    def plans_from(
         self,
         src_host: int,
         dests: Optional[Sequence[int]] = None,
         strict: bool = True,
-    ) -> dict[int, ItbRoute]:
-        """ITB routes from one host to every destination host.
+        tables: Optional[RouteTables] = None,
+    ) -> Iterator[tuple[int, RoutePlan]]:
+        """``(dst, plan)`` for every destination host.
 
         Shares the memoized pair plans and per-source legalization tree;
-        host_policy is still invoked once per host pair, in destination
-        order, so stateful policies see the same call sequence as a
-        per-pair loop.  ``strict=False`` skips unroutable destinations
-        (fault-remap keep-stale semantics).
+        host_policy is invoked once per cut, destination by destination
+        in order, so stateful policies see the same call sequence as a
+        per-pair loop.  A pair with no pair plan gets the plain
+        up*/down* tree path.  ``strict=False`` skips unroutable
+        destinations (fault-remap keep-stale semantics); ``tables`` is
+        the topology's route tables when the caller already holds them.
         """
         topo = self.topo
-        tables = topo.route_tables()
+        tables = tables or topo.route_tables()
         dirs = self.orientation.pair_direction_table(topo)
         host_switch = tables.host_switch
         s_src = topo.switch_of(src_host)
-        out: dict[int, ItbRoute] = {}
         for d in (topo.hosts() if dests is None else dests):
             if d == src_host:
                 continue
@@ -233,16 +269,30 @@ class ItbRouter:
                     s_dst = topo.switch_of(d)  # raises the precise error
                 plan = self._pair_plan(s_src, s_dst, tables, dirs)
                 if plan is not None:
-                    route = self._build(src_host, d, plan[0], plan[1],
-                                        tables, dirs)
-                else:
-                    route = self._updown.itb_route(src_host, d)
+                    yield d, (*plan, self.itb_hosts(plan, src_host, d))
+                    continue
+                # Last resort: the plain up*/down* path (always legal).
+                path = self._updown._tree_path(
+                    self._updown.switch_tree(s_src), s_src, s_dst)
             except (RouteError, KeyError):
                 if strict:
                     raise
                 continue
-            out[d] = route
-        return out
+            yield d, (path, (), ())
+
+    def routes_from(
+        self,
+        src_host: int,
+        dests: Optional[Sequence[int]] = None,
+        strict: bool = True,
+    ) -> dict[int, ItbRoute]:
+        """ITB routes from one host to every destination host: its
+        plans, materialised (:func:`~repro.routing.routes.materialise_from`).
+
+        ``strict=False`` skips unroutable destinations (fault-remap
+        keep-stale semantics).
+        """
+        return materialise_from(self, src_host, dests, strict, ItbRoute)
 
     def all_pairs(self) -> dict[tuple[int, int], ItbRoute]:
         """ITB routes for every ordered host pair (the mapper's job).
@@ -260,45 +310,6 @@ class ItbRouter:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-
-    def _build(
-        self,
-        src_host: int,
-        dst_host: int,
-        switch_path: Sequence[int],
-        splits: Sequence[int],
-        tables: RouteTables,
-        dirs: dict[tuple[int, int], Direction],
-    ) -> ItbRoute:
-        """Cut ``switch_path`` at the violation switches and emit segments."""
-        topo = self.topo
-        segments: list[SourceRoute] = []
-        seg_entry_host = src_host
-        start = 0
-        cut_points = list(splits) + [len(switch_path) - 1]
-        for j, cut in enumerate(cut_points):
-            last = j == len(cut_points) - 1
-            sub_path = switch_path[start:cut + 1]
-            if last:
-                exit_host = dst_host
-            else:
-                exit_host = self.host_policy(
-                    topo, switch_path[cut], src_host, dst_host
-                )
-            segment = SourceRoute(
-                src=seg_entry_host,
-                dst=exit_host,
-                ports=topo.ports_along(tables.port, sub_path, exit_host),
-                switch_path=tuple(sub_path),
-            )
-            if updown_violations(dirs, sub_path):
-                raise RouteError(
-                    f"internal error: segment {sub_path} still invalid"
-                )
-            segments.append(segment)
-            seg_entry_host = exit_host
-            start = cut  # next segment re-enters at the violation switch
-        return ItbRoute(tuple(segments))
 
     def _legal_tree_for(self, s_src: int) -> tuple[dict, dict]:
         """Full legalization Dijkstra from one source switch, memoized.

@@ -14,18 +14,24 @@ same order as a per-pair early-exit BFS (the seen set is write-once,
 and the early exit only truncates a shared prefix), the tree's path is
 byte-identical to the per-pair search, which the test suite keeps as
 its oracle (``tests/routing_oracles.py``).  All-pairs construction
-drops from O(H²·E) to O(V·E), and :meth:`UpDownRouter.routes_from`
-reads the topology's flat :class:`~repro.topology.graph.RouteTables`
+drops from O(H²·E) to O(V·E).
+
+:meth:`UpDownRouter.plans_from` is the primitive: one
+:data:`~repro.routing.routes.RoutePlan` (tree path, no cuts) per
+destination.  :meth:`UpDownRouter.routes_from` materialises those plans,
+reading the topology's flat :class:`~repro.topology.graph.RouteTables`
 once per source for every destination's port bytes and deliverability
-walk.
+walk; consumers that only score switch paths stop at the plans.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, Sequence
+from operator import itemgetter
+from typing import Iterator, Optional, Sequence
 
-from repro.routing.routes import ItbRoute, RouteError, SourceRoute, all_pairs_of
+from repro.routing.routes import (ItbRoute, RouteError, RoutePlan, SourceRoute,
+                                  all_pairs_of, materialise, materialise_from)
 from repro.routing.spanning_tree import UpDownOrientation, build_orientation
 from repro.topology.graph import RouteTables, Topology
 
@@ -115,23 +121,24 @@ class UpDownRouter:
             )
         return path
 
-    def routes_from(
+    def plans_from(
         self,
         src_host: int,
-        dests: Optional[list[int]] = None,
+        dests: Optional[Sequence[int]] = None,
         strict: bool = True,
-    ) -> dict[int, SourceRoute]:
-        """Routes from one host to every destination host, off one tree.
+        tables: Optional[RouteTables] = None,
+    ) -> Iterator[tuple[int, RoutePlan]]:
+        """``(dst, plan)`` for every destination host, off one tree.
 
-        With ``strict=False`` unreachable destinations are silently
-        skipped (the keep-stale semantics fault remap relies on).
+        An up*/down* plan is the tree's switch path with no cuts.  With
+        ``strict=False`` unreachable destinations are skipped (the
+        keep-stale semantics fault remap relies on); ``tables`` is the
+        topology's route tables when the caller already holds them.
         """
         topo = self.topo
-        tables = topo.route_tables()
-        host_switch = tables.host_switch
+        host_switch = (tables or topo.route_tables()).host_switch
         s_src = topo.switch_of(src_host)
         tree = self.switch_tree(s_src)
-        out: dict[int, SourceRoute] = {}
         for d in (topo.hosts() if dests is None else dests):
             if d == src_host:
                 continue
@@ -140,13 +147,26 @@ class UpDownRouter:
                 if s_dst is None:
                     s_dst = topo.switch_of(d)  # raises the precise error
                 path = self._tree_path(tree, s_src, s_dst)
-                out[d] = self._source_route(src_host, d, s_src, s_dst,
-                                            path, tables)
             except (RouteError, KeyError):
                 if strict:
                     raise
                 continue
-        return out
+            yield d, (path, (), ())
+
+    def routes_from(
+        self,
+        src_host: int,
+        dests: Optional[Sequence[int]] = None,
+        strict: bool = True,
+    ) -> dict[int, SourceRoute]:
+        """Routes from one host to every destination host: its plans,
+        materialised (:func:`~repro.routing.routes.materialise_from`).
+
+        With ``strict=False`` unroutable destinations are silently
+        skipped (the keep-stale semantics fault remap relies on).
+        """
+        return materialise_from(self, src_host, dests, strict,
+                                itemgetter(0))
 
     # ------------------------------------------------------------------
 
@@ -183,47 +203,12 @@ class UpDownRouter:
         s_dst = topo.switch_of(dst_host)
         if switch_path is None:
             switch_path = self.switch_route(s_src, s_dst)
-        return self._source_route(src_host, dst_host, s_src, s_dst,
-                                  switch_path, topo.route_tables())
+        return materialise(topo, topo.route_tables(), src_host, dst_host,
+                           (tuple(switch_path), (), ()))[0]
 
     def itb_route(self, src_host: int, dst_host: int) -> ItbRoute:
         """Uniform interface with :class:`ItbRouter`: a single segment."""
         return ItbRoute((self.route(src_host, dst_host),))
-
-    # ------------------------------------------------------------------
-
-    def _source_route(
-        self,
-        src_host: int,
-        dst_host: int,
-        s_src: int,
-        s_dst: int,
-        switch_path: Sequence[int],
-        tables: RouteTables,
-    ) -> SourceRoute:
-        """Emit one output-port byte per switch along ``switch_path``
-        (the last one exits toward ``dst_host``) and check that the
-        bytes deliver there."""
-        if switch_path[0] != s_src or switch_path[-1] != s_dst:
-            raise RouteError("switch_path endpoints do not match hosts")
-        route = SourceRoute(
-            src=src_host,
-            dst=dst_host,
-            ports=self.topo.ports_along(tables.port, switch_path, dst_host),
-            switch_path=tuple(switch_path),
-        )
-        self._check_deliverable(route, s_src, tables)
-        return route
-
-    def _check_deliverable(
-        self, route: SourceRoute, s_src: int, tables: RouteTables
-    ) -> None:
-        """Walk the route bytes from the source host's switch."""
-        reached = self.topo.walk_hops(tables.hop, s_src, route.ports)
-        if reached != route.dst:
-            raise RouteError(
-                f"route bytes deliver to node {reached}, expected {route.dst}"
-            )
 
     def is_valid(self, route: SourceRoute) -> bool:
         """Check the up*/down* rule over the route's switch path."""

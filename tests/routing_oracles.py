@@ -7,14 +7,20 @@ the older per-pair searches, kept only as oracles: each runs its own
 early-exit search for one host pair and resolves every port, direction
 and host lookup through the per-query topology and orientation
 helpers.  The batched routers must reproduce them byte for byte.
+
+:func:`score_routes` is the scale study's older scorer, which reads
+every metric off materialised route objects; the plan scorer
+(:func:`repro.harness.scale_study.score_plans`) must match it field for
+field.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from collections import Counter, deque
 from typing import Optional
 
+from repro.core.timings import Timings
 from repro.routing.itb import ItbRouter
 from repro.routing.minimal import all_shortest_switch_paths
 from repro.routing.routes import Direction, ItbRoute, RouteError, SourceRoute
@@ -23,6 +29,7 @@ from repro.routing.updown import UpDownRouter
 __all__ = [
     "itb_all_pairs",
     "itb_route",
+    "score_routes",
     "shortest_legalizable",
     "updown_all_pairs",
     "updown_route",
@@ -253,3 +260,53 @@ def itb_all_pairs(router: ItbRouter) -> dict[tuple[int, int], ItbRoute]:
     hosts = router.topo.hosts()
     return {(s, d): itb_route(router, s, d)
             for s in hosts for d in hosts if s != d}
+
+
+def score_routes(topo, orientation, pairs, timings=None) -> dict:
+    """Scale-study route metrics read off all-pairs route objects."""
+    hosts = topo.hosts()
+    host_switch = topo.route_tables().host_switch
+    distances = {s: topo.switch_distances(s) for s in topo.switches()}
+    root = orientation.root
+    n_pairs = len(pairs)
+    minimal = 0
+    stretch_sum = 0.0
+    through_root = 0
+    itb_pairs = 0
+    total_itbs = 0
+    channel_load: Counter = Counter()
+    itb_host_load: Counter = Counter()
+    for (s, d), route in pairs.items():
+        switch_hops = route.switch_hops()
+        hops = len(switch_hops)
+        min_hops = distances[host_switch[s]][host_switch[d]]
+        if hops == min_hops:
+            minimal += 1
+        stretch_sum += (hops + 1) / (min_hops + 1)
+        if any(root in seg.switch_path for seg in route.segments):
+            through_root += 1
+        if route.n_itbs:
+            itb_pairs += 1
+            total_itbs += route.n_itbs
+            itb_host_load.update(route.itb_hosts)
+        channel_load.update(switch_hops)
+
+    max_load = max(channel_load.values(), default=0)
+    link_rate = 1.0 / (timings or Timings()).link_byte_ns
+    # Uniform all-to-all: the busiest channel carries max_load of the
+    # H*(H-1) flows; it fills when each host offers link_rate*(H-1)/max_load.
+    saturation = (link_rate * (len(hosts) - 1) / max_load
+                  if max_load > 0 else 0.0)
+    diameter = max(max(dist.values()) for dist in distances.values())
+    return dict(
+        diameter=diameter,
+        n_pairs=n_pairs,
+        minimal_coverage=minimal / n_pairs if n_pairs else 1.0,
+        avg_stretch=stretch_sum / n_pairs if n_pairs else 1.0,
+        root_load_fraction=through_root / n_pairs if n_pairs else 0.0,
+        max_channel_load=max_load,
+        saturation_bytes_per_ns_per_host=saturation,
+        itb_pairs_fraction=itb_pairs / n_pairs if n_pairs else 0.0,
+        total_itbs=total_itbs,
+        max_itbs_per_host=max(itb_host_load.values(), default=0),
+    )

@@ -163,19 +163,47 @@ class TestFaultCampaignExitCode:
         assert main(["run", "fault-campaign"]) == 0
         assert "every message accounted for" in capsys.readouterr().out
 
-    def test_reliability_breach_exits_1_and_still_saves(self, capsys,
-                                                        tmp_path):
+    def test_total_loss_fails_every_message_and_exits_0(self, capsys,
+                                                          tmp_path):
+        """Every packet lost: GM's retry budget runs out inside its
+        failure bound, so every message fails with GmSendError — the
+        reliability contract holds and the run exits 0."""
         out_path = tmp_path / "fc.json"
         rc = main(["run", "fault-campaign", "--loss", "1.0",
                    "--corrupt", "0.0", "--schedules", "none",
                    "--messages", "2", "--save", str(out_path)])
-        assert rc == 1
+        assert rc == 0
         out = capsys.readouterr().out
-        assert "MESSAGES UNACCOUNTED FOR" in out
+        assert "every message accounted for" in out
         assert f"saved to {out_path}" in out
         from repro.harness.persist import load_results
 
-        assert not load_results(out_path)["fault-campaign"].all_accounted
+        result = load_results(out_path)["fault-campaign"]
+        assert result.all_accounted
+        (row,) = result.rows
+        assert (row.messages, row.completed, row.failed) == (4, 0, 4)
+        assert row.lost_messages == 0
+
+    def test_unaccounted_message_exits_1(self):
+        """A message neither delivered nor failed is a breach: exit 1."""
+        from dataclasses import replace
+
+        from repro.exp import get_experiment
+        from repro.harness.faultcamp import (FaultCampaignResult,
+                                             FaultCampaignRow)
+
+        row = FaultCampaignRow(
+            loss=1.0, corrupt=0.0, schedule="none", messages=4,
+            delivered=0, completed=0, failed=4, retransmissions=0,
+            timeouts=0, nacks=0, packets_lost=0, packets_corrupted=0,
+            killed_in_flight=0, faults_injected=0, repairs=0,
+            remap_events=0)
+        experiment = get_experiment("fault-campaign")
+        assert experiment.exit_status(FaultCampaignResult(rows=[row])) == 0
+        breach = replace(row, failed=3)
+        assert breach.lost_messages == 1
+        assert experiment.exit_status(
+            FaultCampaignResult(rows=[row, breach])) == 1
 
 
 class TestAllCommand:

@@ -217,6 +217,41 @@ class TestReliability:
         assert len(got) == 1
 
 
+class TestFailureBound:
+    def test_bound_is_the_capped_backoff_chain(self):
+        """Defaults: 1 ms doubling to a 16 ms cap over 65 expiries is
+        1 + 2 + 4 + 8 + 16 + 60 * 16 = 991 ms per packet."""
+        a = build().gm("host1")
+        chain = 991_000_000.0
+        host = a.timings.host_send_sw_ns
+        assert a.failure_bound_ns() == chain + host
+        assert a.failure_bound_ns(3) == 3 * (chain + host)
+
+    @pytest.mark.parametrize("packets", [1, 3])
+    def test_total_loss_fails_within_the_bound(self, packets):
+        """Every packet lost: the send fails with GmSendError, and no
+        later than the bound after it was issued."""
+        from repro.network.faults import FaultPlan, install_fault_plan
+
+        net = build()
+        install_fault_plan(net, FaultPlan(loss_probability=1.0, seed=1))
+        a, b = net.gm("host1"), net.gm("host2")
+        a.max_retries = 6
+        done = a.send(b.host, packets * GM_MTU)
+        failed_at = []
+
+        def waiter():
+            try:
+                yield done
+            except GmSendError:
+                failed_at.append(net.sim.now)
+
+        net.sim.process(waiter())
+        net.sim.run()
+        assert len(failed_at) == 1
+        assert failed_at[0] <= a.failure_bound_ns(packets)
+
+
 class TestBidirectional:
     def test_simultaneous_cross_traffic(self):
         net = build()
